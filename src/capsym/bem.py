@@ -7,9 +7,11 @@ density, its integral is the capacity, and off-surface potentials,
 gradients and Hessians come from differentiating the kernel under the
 integral.
 
-Diagonal entries use the exact closed-form integral of 1/r over a planar
-triangle from its centroid; near-diagonal entries use one level of 4:1
-panel subdivision.
+One kernel, `_single_layer_rows`, builds any rows of the matrix for both
+assembly and the residual check: diagonal entries by the exact integral of
+1/r over a planar triangle from its centroid, near-diagonal entries by one
+level of 4:1 panel subdivision.  One batched `eval_fields` gives u, Du and
+D2u off the surface; every other evaluation goes through it.
 """
 
 from __future__ import annotations
@@ -21,9 +23,14 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.spatial import cKDTree
 
-from .geometry import MeshError, TriMesh, validate
+from .geometry import MeshError, TriMesh, _unit_icosphere, validate
 
 FOUR_PI = 4.0 * math.pi
+
+# chunk size of the kernel loops: a row chunk holds _BLOCK distances
+# (rows x F*Q), a point chunk _BLOCK offsets (points x F*Q x 3), since
+# evaluation keeps several such blocks alive; well under the dense matrix
+_BLOCK = 5e6
 
 
 class SolverError(RuntimeError):
@@ -76,9 +83,19 @@ def triangle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"quadrature order must be one of {sorted(_RULES)}, got {order}") from None
 
 
-def self_integral_inv_r(p0, p1, p2) -> float:
+def _norm(v) -> np.ndarray:
+    """Norm over the last axis; unlike np.linalg.norm, no temporary of v's size."""
+    s = np.asarray(np.einsum("...k,...k->...", v, v))
+    return np.sqrt(s, out=s)
+
+
+def _dot(a, b) -> np.ndarray:
+    return np.einsum("...k,...k->...", a, b)
+
+
+def self_integral_inv_r(p0, p1, p2):
     """Exact integral of 1/|c - y| over the planar triangle (p0, p1, p2),
-    with c its centroid.
+    with c its centroid; stacked corners (..., 3) give one per triangle.
 
     Edge decomposition: for each edge the sub-integral in polar
     coordinates about c reduces to d * log((s2 + r2)/(s1 + r1)), d the
@@ -91,20 +108,16 @@ def self_integral_inv_r(p0, p1, p2) -> float:
     for k in range(3):
         a, b = p[k], p[(k + 1) % 3]
         t = b - a
-        lt = np.linalg.norm(t)
-        if lt == 0:
+        lt = _norm(t)
+        if np.any(lt == 0):
             raise MeshError("degenerate triangle in self-integral")
-        t = t / lt
-        s1 = float((a - c) @ t)
-        s2 = float((b - c) @ t)
-        foot = a + ((c - a) @ t) * t
-        d = float(np.linalg.norm(c - foot))
-        if d < 1e-300:
-            continue
-        r1 = float(np.linalg.norm(a - c))
-        r2 = float(np.linalg.norm(b - c))
-        total += d * math.log((s2 + r2) / (s1 + r1))
-    return total
+        t = t / lt[..., None]
+        s1, r1 = _dot(a - c, t), _norm(a - c)
+        s2, r2 = _dot(b - c, t), _norm(b - c)
+        d = _norm(c - (a + _dot(c - a, t)[..., None] * t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = total + np.where(d < 1e-300, 0.0, d * np.log((s2 + r2) / (s1 + r1)))
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
@@ -131,55 +144,55 @@ def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
     return np.concatenate(all_pts, axis=1), np.concatenate(all_wts, axis=1)
 
 
-def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
-    """Dense collocation matrix: entry (i, j) = int_{T_j} dA(y) / (4 pi |c_i - y|).
+def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
+    """Rows `rows` of the collocation matrix, shape (len(rows), F), in
+    Fortran order: entry (r, j) = int_{T_j} dA(y) / (4 pi |c_i - y|) with
+    i = rows[r].
 
-    Diagonal by the exact planar self-integral; entries whose centroid
-    separation is below twice the local edge length by subdivided
+    The diagonal (j = i) by the exact planar self-integral; entries whose
+    centroid separation is below twice T_j's longest edge by subdivided
     quadrature; everything else by the plain panel rule.
     """
-    rep = validate(mesh)
-    if not rep.ok:
-        raise MeshError("mesh failed validation: " + "; ".join(rep.issues))
+    rows = np.asarray(rows)
     F = mesh.num_panels
     cen = mesh.centroids
-    pts, wts = panel_quadrature(mesh, quad_order)
-    flat_pts = pts.reshape(-1, 3)
-    flat_wts = wts.reshape(-1)
+    pts, wts = panel_quadrature(mesh, order)
     Q = pts.shape[1]
+    pts, wts = pts.reshape(-1, 3), wts.reshape(-1)
 
     # Fortran order lets the LU factorization downstream work truly in
     # place; a C-ordered matrix would be copied by LAPACK
-    M = np.empty((F, F), order="F")
-    # the distance computation holds ~7 temporaries of chunk x (F*Q)
-    # floats; keep them well under the matrix itself in size
-    chunk = max(1, int(5e6 / flat_pts.shape[0]))
-    for start in range(0, F, chunk):
-        stop = min(start + chunk, F)
-        d = np.linalg.norm(cen[start:stop, None, :] - flat_pts[None, :, :], axis=2)
-        contrib = (flat_wts / d).reshape(stop - start, F, Q).sum(axis=2)
-        M[start:stop] = contrib / FOUR_PI
+    out = np.empty((len(rows), F), order="F")
+    chunk = max(1, int(_BLOCK / len(pts)))
+    for start in range(0, len(rows), chunk):
+        d = _norm(cen[rows[start:start + chunk], None, :] - pts)
+        np.divide(wts, d, out=d)
+        out[start:start + chunk] = d.reshape(len(d), F, Q).sum(axis=2) / FOUR_PI
 
     # near-diagonal correction: one level of 4:1 subdivision
     max_edge = mesh.edge_lengths.max(axis=1)
-    tree = cKDTree(cen)
-    pairs = tree.query_pairs(r=2.0 * float(max_edge.max()), output_type="ndarray")
-    if len(pairs):
-        pairs = np.concatenate([pairs, pairs[:, ::-1]], axis=0)  # both (i,j) and (j,i)
-        dist = np.linalg.norm(cen[pairs[:, 0]] - cen[pairs[:, 1]], axis=1)
-        keep = dist < 2.0 * max_edge[pairs[:, 1]]
-        pairs = pairs[keep]
-    if len(pairs):
-        spts, swts = panel_quadrature(mesh, quad_order, subdivide=True)
-        i, j = pairs[:, 0], pairs[:, 1]
-        d = np.linalg.norm(cen[i][:, None, :] - spts[j], axis=2)
-        M[i, j] = (swts[j] / d).sum(axis=1) / FOUR_PI
+    near = cKDTree(cen[rows]).sparse_distance_matrix(
+        cKDTree(cen), 2.0 * float(max_edge.max()), output_type="ndarray")
+    r, j = near["i"], near["j"]
+    i = rows[r]
+    keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
+    r, i, j = r[keep], i[keep], j[keep]
+    spts, swts = panel_quadrature(mesh, order, subdivide=True)
+    out[r, j] = (swts[j] / _norm(cen[i][:, None, :] - spts[j])).sum(axis=1) / FOUR_PI
 
     # diagonal: exact self-integral
-    p = mesh.vertices[mesh.triangles]
-    for k in range(F):
-        M[k, k] = self_integral_inv_r(p[k, 0], p[k, 1], p[k, 2]) / FOUR_PI
-    return M
+    p = mesh.vertices[mesh.triangles[rows]]
+    out[np.arange(len(rows)), rows] = self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2]) / FOUR_PI
+    return out
+
+
+def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
+    """Dense collocation matrix, all rows of `_single_layer_rows`, after
+    validating the mesh."""
+    rep = validate(mesh)
+    if not rep.ok:
+        raise MeshError("mesh failed validation: " + "; ".join(rep.issues))
+    return _single_layer_rows(mesh, np.arange(mesh.num_panels), quad_order)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +219,8 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
     Refuses to return results when the estimated 1-norm condition number
     exceeds cond_limit (first-kind conditioning grows like 1/h; refine or
     coarsen instead of trusting noise).  The collocation residual is
-    checked on a deterministic sample of rows re-assembled directly, so
-    no second matrix copy is needed.
+    checked on a deterministic sample of rows rebuilt by the assembly
+    kernel, so no second matrix copy is needed.
     """
     M = assemble_single_layer(mesh, quad_order)
     F = mesh.num_panels
@@ -236,35 +249,10 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
     sigma = lu_solve((lu, piv), np.ones(F))
     capacity = float(sigma @ mesh.areas)
 
-    # residual on a deterministic row sample, rows rebuilt from scratch
+    # residual on a deterministic row sample
     rng = np.random.default_rng(0)
     rows = np.arange(F) if F <= 200 else np.sort(rng.choice(F, 200, replace=False))
-    pts, wts = panel_quadrature(mesh, quad_order)
-    flat_pts = pts.reshape(-1, 3)
-    flat_wts = wts.reshape(-1)
-    Q = pts.shape[1]
-    Mrows = np.empty((len(rows), F))
-    rchunk = max(1, int(5e6 / flat_pts.shape[0]))
-    for start in range(0, len(rows), rchunk):
-        stop = min(start + rchunk, len(rows))
-        d = np.linalg.norm(
-            mesh.centroids[rows[start:stop]][:, None, :] - flat_pts[None, :, :], axis=2)
-        Mrows[start:stop] = (flat_wts / d).reshape(stop - start, F, Q).sum(axis=2) / FOUR_PI
-    max_edge = mesh.edge_lengths.max(axis=1)
-    cen = mesh.centroids
-    p = mesh.vertices[mesh.triangles]
-    spts = swts = None
-    for ri, i in enumerate(rows):
-        near = np.nonzero(np.linalg.norm(cen - cen[i], axis=1) < 2.0 * max_edge)[0]
-        for j in near:
-            if j == i:
-                Mrows[ri, j] = self_integral_inv_r(p[j, 0], p[j, 1], p[j, 2]) / FOUR_PI
-            else:
-                if spts is None:
-                    spts, swts = panel_quadrature(mesh, quad_order, subdivide=True)
-                dd = np.linalg.norm(cen[i] - spts[j], axis=1)
-                Mrows[ri, j] = float((swts[j] / dd).sum()) / FOUR_PI
-    residual = float(np.max(np.abs(Mrows @ sigma - 1.0)))
+    residual = float(np.max(np.abs(_single_layer_rows(mesh, rows, quad_order) @ sigma - 1.0)))
 
     return EquilibriumSolution(
         mesh=mesh,
@@ -290,32 +278,21 @@ def boundary_gradient(sol: EquilibriumSolution) -> np.ndarray:
 # off-surface evaluation
 
 
-def winding_number(mesh: TriMesh, x) -> float:
+def winding_number(mesh: TriMesh, x):
     """Generalized winding number of the closed surface about x
-    (1 inside, 0 outside), by summed signed solid angles."""
-    x = np.asarray(x, dtype=float)
-    p = mesh.vertices[mesh.triangles] - x  # (F, 3, 3)
-    a, b, c = p[:, 0], p[:, 1], p[:, 2]
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(c, axis=1)
-    num = np.einsum("ij,ij->i", a, np.cross(b, c))
-    den = (
-        la * lb * lc
-        + np.einsum("ij,ij->i", a, b) * lc
-        + np.einsum("ij,ij->i", b, c) * la
-        + np.einsum("ij,ij->i", a, c) * lb
-    )
-    return float(np.sum(2.0 * np.arctan2(num, den)) / FOUR_PI)
+    (1 inside, 0 outside), by summed signed solid angles.
 
-
-def _check_exterior(sol: EquilibriumSolution, x) -> np.ndarray:
+    x of shape (3,) gives a float; stacked points (..., 3) give an array
+    of shape (...).
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError(f"evaluation point must be in R^3, got shape {x.shape}")
-    if winding_number(sol.mesh, x) > 0.5:
-        raise ValueError(f"evaluation point {x.tolist()} lies inside the surface")
-    return x
+    p = mesh.vertices[mesh.triangles] - x[..., None, None, :]  # (..., F, 3, 3)
+    a, b, c = p[..., 0, :], p[..., 1, :], p[..., 2, :]
+    la, lb, lc = _norm(a), _norm(b), _norm(c)
+    num = _dot(a, np.cross(b, c))
+    den = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la + _dot(a, c) * lb
+    w = np.sum(2.0 * np.arctan2(num, den), axis=-1) / FOUR_PI
+    return float(w) if np.ndim(w) == 0 else w
 
 
 def evaluation_distance_ratio(sol: EquilibriumSolution, x) -> float:
@@ -329,35 +306,60 @@ def evaluation_distance_ratio(sol: EquilibriumSolution, x) -> float:
     return float(d[k] / sol.mesh.edge_lengths[k].max())
 
 
-def eval_potential(sol: EquilibriumSolution, x) -> float:
-    """u(x) = int sigma(y) / (4 pi |x - y|) dA(y) at a strictly exterior x."""
-    x = _check_exterior(sol, x)
+def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u (P,), Du (P, 3) and D2u (P, 3, 3) at the exterior points X (P, 3).
+
+    u(x) = int sigma(y) / (4 pi |x - y|) dA(y); Du and D2u by the kernel
+    gradient -r/(4 pi |r|^3) and Hessian (3 rr^T - |r|^2 I)/(4 pi |r|^5),
+    r = x - y.  The quadrature is formed once; each chunk of points gets
+    one batched winding-number test, and a point inside raises ValueError.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 3:
+        raise ValueError(f"evaluation points must have shape (P, 3), got {X.shape}")
     pts, wts = panel_quadrature(sol.mesh, sol.quad_order)
-    d = np.linalg.norm(x - pts, axis=2)
-    return float(((wts / d).sum(axis=1) @ sol.sigma) / FOUR_PI)
+    ys = pts.reshape(-1, 3)
+    sw = (wts * sol.sigma[:, None]).reshape(-1)
+    u, Du, D2u = np.empty(len(X)), np.empty((len(X), 3)), np.empty((len(X), 3, 3))
+    chunk = max(1, int(_BLOCK / (3 * len(ys))))
+    for start in range(0, len(X), chunk):
+        x = X[start:start + chunk]
+        inside = winding_number(sol.mesh, x) > 0.5
+        if inside.any():
+            raise ValueError(f"evaluation point {x[np.argmax(inside)].tolist()} "
+                             "lies inside the surface")
+        diff = x[:, None, :] - ys  # (p, F*Q, 3)
+        inv_r = 1.0 / _norm(diff)
+        w3 = sw * inv_r * inv_r * inv_r
+        w5 = w3 * inv_r * inv_r
+        u[start:start + chunk] = inv_r @ sw
+        Du[start:start + chunk] = -(w3[:, None, :] @ diff)[:, 0]
+        D2u[start:start + chunk] = (
+            3.0 * ((diff * w5[..., None]).transpose(0, 2, 1) @ diff)
+            - w3.sum(axis=1)[:, None, None] * np.eye(3))
+    return u / FOUR_PI, Du / FOUR_PI, D2u / FOUR_PI
+
+
+def _point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError(f"evaluation point must be in R^3, got shape {x.shape}")
+    return x[None]
+
+
+def eval_potential(sol: EquilibriumSolution, x) -> float:
+    """u(x) at one strictly exterior point (see eval_fields)."""
+    return float(eval_fields(sol, _point(x))[0][0])
 
 
 def eval_gradient(sol: EquilibriumSolution, x) -> np.ndarray:
-    """Du(x) by the analytic kernel gradient -(x - y)/(4 pi |x - y|^3)."""
-    x = _check_exterior(sol, x)
-    pts, wts = panel_quadrature(sol.mesh, sol.quad_order)
-    diff = x - pts  # (F, Q, 3)
-    r = np.linalg.norm(diff, axis=2)
-    g = -(wts / r**3)[:, :, None] * diff
-    return np.einsum("fqd,f->d", g, sol.sigma) / FOUR_PI
+    """Du(x) at one strictly exterior point (see eval_fields)."""
+    return eval_fields(sol, _point(x))[1][0]
 
 
 def eval_hessian(sol: EquilibriumSolution, x) -> np.ndarray:
-    """D2u(x) by the analytic kernel Hessian (3 rr^T - |r|^2 I)/(4 pi |r|^5)."""
-    x = _check_exterior(sol, x)
-    pts, wts = panel_quadrature(sol.mesh, sol.quad_order)
-    diff = x - pts
-    r = np.linalg.norm(diff, axis=2)
-    sw = wts * sol.sigma[:, None]
-    outer = np.einsum("fqi,fqj->fqij", diff, diff)
-    H = 3.0 * np.einsum("fq,fqij->ij", sw / r**5, outer)
-    H -= np.einsum("fq->", sw / r**3) * np.eye(3)
-    return H / FOUR_PI
+    """D2u(x) at one strictly exterior point (see eval_fields)."""
+    return eval_fields(sol, _point(x))[2][0]
 
 
 def capacity_three_ways(sol: EquilibriumSolution, far_radius: float
@@ -367,25 +369,16 @@ def capacity_three_ways(sol: EquilibriumSolution, far_radius: float
     cap_charge  = sum sigma * area (total equilibrium charge)
     cap_asympt  = (n-2) omega_n * mean over a far sample sphere of u |x|^{n-2}
     cap_energy  = int_{boundary} u (du/dnu) dA with u = 1 on the boundary,
-                  which collapses to the same charge sum.
+                  which collapses to the same charge sum: not independent.
     """
     if far_radius < 10.0 * sol.mesh.diameter:
         raise ValueError(
             f"far_radius {far_radius} below 10x mesh diameter {sol.mesh.diameter}"
         )
     cap_charge = float(sol.sigma @ sol.mesh.areas)
-    # u = 1 on the boundary, so the energy integral collapses to the same
-    # charge sum, bit for bit
-    cap_energy = float((1.0 * sol.sigma) @ sol.mesh.areas)
-
     center = np.einsum("f,fd->d", sol.mesh.areas, sol.mesh.centroids) / sol.mesh.total_area
-    from .geometry import _unit_icosphere
-
     dirs, _ = _unit_icosphere(2)
-    vals = []
-    for dhat in dirs:
-        x = center + far_radius * dhat
-        u = eval_potential(sol, x)
-        vals.append(u * np.linalg.norm(x - center))
-    cap_asympt = FOUR_PI * float(np.mean(vals))
-    return cap_charge, cap_asympt, cap_energy
+    X = center + far_radius * dirs
+    u, _, _ = eval_fields(sol, X)
+    cap_asympt = FOUR_PI * float(np.mean(u * np.linalg.norm(X - center, axis=1)))
+    return cap_charge, cap_asympt, cap_charge

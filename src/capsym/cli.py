@@ -1,9 +1,9 @@
 """Command-line entry point: capacity runs, theorem verification, the
 identity suite, convergence studies, and closed-form oracle queries.
 
-Exit codes: 0 success, 2 solver error, 3 mesh validation failure,
-4 unreadable input file, 5 unsupported oracle shape.  The ball/not-ball
-verdict is data inside the report, never an exit code.
+Exit codes: 0 success, 2 solver error or non-finite report value, 3 mesh
+validation failure, 4 unreadable input file, 5 unsupported oracle shape.
+The ball/not-ball verdict is data inside the report, never an exit code.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def cmd_capacity(args) -> int:
         "cap_energy": cap_energy,
         "panels": mesh.num_panels,
         "residual_inf": sol.residual_inf,
-        "cond_estimate": sol.cond_estimate,
+        # good to a small factor; gecon's last digits vary from run to run
+        "cond_estimate": float(f"{sol.cond_estimate:.3g}"),
         "sigma_positive": sol.sigma_positive,
         "config": _echo_config(args, src, level),
     }
@@ -185,8 +186,8 @@ def cmd_identity_check(args) -> int:
                 r1 = float(np.max(np.abs(identity_lab.check_div_free_s2(f, x, h))))
                 if args.inject_fault:
                     r1 += 1e-3
-                if r1 < 1e-10:
-                    continue
+                if r1 < 1e-10 * max(1.0, abs(f.value(x))):
+                    continue  # identity exact for this function
                 r2 = float(np.max(np.abs(identity_lab.check_div_free_s2(f, x, h / 2))))
                 if args.inject_fault:
                     r2 += 1e-3
@@ -263,15 +264,12 @@ def cmd_convergence(args) -> int:
         _require_valid(mesh)
         t0 = time.perf_counter()
         sol = _solve(mesh, args.quad_order)
-        fields = functionals.fields_from_solution(sol)
-        v_f1 = functionals.f1(fields, 3)
-        lhs, rhs = functionals.f2(fields, sol.capacity, 3)
-        pts = functionals.sample_exterior_points(mesh, args.samples, args.seed)
-        newton_sup, _ = functionals.newton_scan(sol, pts)
+        rep = functionals.verify_solution(sol, level=level, seed=args.seed,
+                                          n_samples=args.samples)
         wall = time.perf_counter() - t0
         err = abs(sol.capacity - oracle_cap) / oracle_cap if oracle_cap else float("nan")
-        rows.append((level, mesh.num_panels, sol.capacity, err, v_f1, lhs - rhs,
-                     newton_sup, wall))
+        rows.append((level, mesh.num_panels, sol.capacity, err, rep.f1,
+                     rep.f2_lhs - rep.f2_rhs, rep.newton_sup_deficit, wall))
     lines = ["level,panels,capacity,cap_error,f1,f2_gap,newton_deficit,wall_time_s"]
     for r in rows:
         lines.append(",".join(_csv_cell(v) for v in r))
@@ -415,6 +413,9 @@ def main(argv=None) -> int:
     except geometry.MeshError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MESH
+    except functionals.NonFiniteError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

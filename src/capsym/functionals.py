@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symfun
-from .bem import EquilibriumSolution, boundary_gradient, eval_gradient, eval_hessian, eval_potential
+from .bem import EquilibriumSolution, boundary_gradient, eval_fields
 from .geometry import TriMesh, panel_curvature
 from .oracles import unit_sphere_area
 
@@ -181,6 +181,18 @@ def sample_exterior_points(mesh: TriMesh, count: int, seed: int,
     return center + (r0 * radii)[:, None] * dirs
 
 
+def _scan(sol: EquilibriumSolution, sample_points, n: int) -> tuple[float, np.ndarray, float]:
+    """(sup, per-point values) of the normalized Newton deficit and the max
+    relative pbv residual, from one batched evaluation of u, Du and D2u."""
+    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    deficits, residuals = np.empty(len(pts)), np.empty(len(pts))
+    for k, (u, Du, D2u) in enumerate(zip(*eval_fields(sol, pts))):
+        v, Dv, D2v = v_transform(u, Du, D2u, n)
+        deficits[k] = symfun.newton_deficit(D2v) / float(np.trace(D2v)) ** 2
+        residuals[k] = abs(pbv_residual(v, Dv, D2v, n)) / ((n / 2.0) * float(Dv @ Dv) / v)
+    return float(np.max(deficits)), deficits, float(np.max(residuals, initial=0.0))
+
+
 def newton_scan(sol: EquilibriumSolution, sample_points, n: int = 3
                 ) -> tuple[float, np.ndarray]:
     """Normalized Newton deficit of D2v at each sample point.
@@ -188,30 +200,13 @@ def newton_scan(sol: EquilibriumSolution, sample_points, n: int = 3
     deficit / Tr(D2v)^2 is scale-free; the sup over points is the
     symmetry discriminator (zero exactly for balls).
     """
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    deficits = np.empty(len(pts))
-    for k, x in enumerate(pts):
-        u = eval_potential(sol, x)
-        Du = eval_gradient(sol, x)
-        D2u = eval_hessian(sol, x)
-        _, _, D2v = v_transform(u, Du, D2u, n)
-        tr = float(np.trace(D2v))
-        deficits[k] = symfun.newton_deficit(D2v) / tr**2
-    return float(np.max(deficits)), deficits
+    sup, deficits, _ = _scan(sol, sample_points, n)
+    return sup, deficits
 
 
 def pbv_scan(sol: EquilibriumSolution, sample_points, n: int = 3) -> float:
     """Max relative residual of the auxiliary PDE for v at the sample points."""
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    worst = 0.0
-    for x in pts:
-        u = eval_potential(sol, x)
-        Du = eval_gradient(sol, x)
-        D2u = eval_hessian(sol, x)
-        v, Dv, D2v = v_transform(u, Du, D2u, n)
-        scale = (n / 2.0) * float(Dv @ Dv) / v
-        worst = max(worst, abs(pbv_residual(v, Dv, D2v, n)) / scale)
-    return worst
+    return _scan(sol, sample_points, n)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +285,7 @@ def verify_solution(sol: EquilibriumSolution, level: int | None = None,
     scale = f1_scale(fields)
     lhs, rhs = f2(fields, cap, 3)
     product, lb_rhs = lower_bound_n3(cap, fields)
-    pts = sample_exterior_points(sol.mesh, n_samples, seed)
-    newton_sup, _ = newton_scan(sol, pts, 3)
-    pbv_max = pbv_scan(sol, pts, 3)
+    newton_sup, _, pbv_max = _scan(sol, sample_exterior_points(sol.mesh, n_samples, seed), 3)
     if thresholds is None:
         thresholds = default_thresholds(level)
     verdict, reasons = symmetry_verdict(val_f1, scale, lhs, rhs, newton_sup, thresholds)
@@ -324,19 +317,23 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, float):
+class NonFiniteError(ValueError):
+    """A report value is NaN or infinite, which JSON cannot represent."""
+
+
+def _to_jsonable(obj, key="(top level)"):
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NonFiniteError(f"non-finite value {float(obj)} at key {key!r}")
         return float(_fmt(obj))
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(float(obj)))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
+        return {k: _to_jsonable(v, k) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_to_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     return obj
 
 
@@ -368,7 +365,11 @@ def report_to_json(report: TheoremReport, extra: dict | None = None) -> str:
 
 
 def json_17g(obj) -> str:
-    """JSON text with every float rendered at 17 significant digits."""
+    """JSON text with every float rendered at 17 significant digits.
+
+    Raises NonFiniteError (a ValueError) naming the key of any NaN or
+    infinite value, since no JSON parser accepts those.
+    """
     jsonable = _to_jsonable(obj)
 
     def render(o, indent=0):

@@ -77,14 +77,15 @@ def s2_quadratic_form(A, w) -> float:
 def newton_deficit(A) -> float:
     """Deficit (n-1)/(2n) Tr(A)^2 - S_2(A) of the Newton inequality.
 
-    Nonnegative up to rounding; zero (with Tr != 0) exactly when A is a
-    scalar multiple of the identity.  Tiny negative values from rounding
-    are returned as-is; callers clamp before asserting nonnegativity.
+    Computed as (1/2) ||A - (Tr(A)/n) I||_F^2, which equals the deficit
+    and is nonnegative by construction, without the cancellation of the
+    difference form; zero (with Tr != 0) exactly when A is a scalar
+    multiple of the identity.  sym_elementary gives the difference form
+    as a reference.
     """
     A = symmetrize(A)
-    n = A.shape[0]
-    tr = float(np.trace(A))
-    return (n - 1) / (2.0 * n) * tr * tr - sym_elementary(A, 2)
+    dev = A - (np.trace(A) / A.shape[0]) * np.eye(A.shape[0])
+    return 0.5 * float(np.sum(dev * dev))
 
 
 def is_identity_multiple(A, tol: float) -> bool:

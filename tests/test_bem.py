@@ -263,3 +263,87 @@ class TestCapacityThreeWays:
     def test_far_radius_precondition(self, sphere2_sol):
         with pytest.raises(ValueError, match="far_radius"):
             bem.capacity_three_ways(sphere2_sol, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-point evaluators and the scalar self-integral
+# that the batched code replaced, frozen here as references
+
+
+def _frozen_self_integral(p0, p1, p2):
+    c = (p0 + p1 + p2) / 3.0
+    total = 0.0
+    for a, b in ((p0, p1), (p1, p2), (p2, p0)):
+        t = (b - a) / np.linalg.norm(b - a)
+        d = float(np.linalg.norm(c - (a + ((c - a) @ t) * t)))
+        r1, r2 = float(np.linalg.norm(a - c)), float(np.linalg.norm(b - c))
+        total += d * math.log((float((b - c) @ t) + r2) / (float((a - c) @ t) + r1))
+    return total
+
+
+def _frozen_fields(sol, x):
+    pts, wts = bem.panel_quadrature(sol.mesh, sol.quad_order)
+    diff = x - pts
+    r = np.linalg.norm(diff, axis=2)
+    u = float(((wts / r).sum(axis=1) @ sol.sigma) / FOUR_PI)
+    g = -(wts / r**3)[:, :, None] * diff
+    Du = np.einsum("fqd,f->d", g, sol.sigma) / FOUR_PI
+    sw = wts * sol.sigma[:, None]
+    H = 3.0 * np.einsum("fq,fqij->ij", sw / r**5, np.einsum("fqi,fqj->fqij", diff, diff))
+    H -= np.einsum("fq->", sw / r**3) * np.eye(3)
+    return u, Du, H / FOUR_PI
+
+
+@pytest.fixture(scope="module", params=["sphere", "spheroid"])
+def level2_sol(request):
+    if request.param == "sphere":
+        return bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6)
+    return bem.solve_equilibrium(geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2), 6)
+
+
+class TestSharedKernels:
+    def test_eval_fields_matches_per_point_reference(self, level2_sol):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(40, 3))
+        X *= rng.uniform(2.5, 40.0, size=40)[:, None] / np.linalg.norm(X, axis=1)[:, None]
+        u, Du, D2u = bem.eval_fields(level2_sol, X)
+        assert u.shape == (40,) and Du.shape == (40, 3) and D2u.shape == (40, 3, 3)
+        for k, x in enumerate(X):
+            u0, Du0, D2u0 = _frozen_fields(level2_sol, x)
+            assert abs(u[k] - u0) <= 1e-13 * abs(u0)
+            assert np.abs(Du[k] - Du0).max() <= 1e-13 * np.abs(Du0).max()
+            assert np.abs(D2u[k] - D2u0).max() <= 1e-13 * np.abs(D2u0).max()
+            assert bem.eval_potential(level2_sol, x) == pytest.approx(u[k], rel=1e-14)
+            assert np.allclose(bem.eval_hessian(level2_sol, x), D2u[k],
+                               rtol=0, atol=1e-14 * np.abs(D2u0).max())
+
+    def test_interior_point_in_batch_rejected(self, level2_sol):
+        X = np.array([[5.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 7.0, 0.0]])
+        with pytest.raises(ValueError, match="inside"):
+            bem.eval_fields(level2_sol, X)
+
+    def test_batched_winding_numbers(self, level2_sol):
+        X = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.1, 0.2, -0.1]])
+        w = bem.winding_number(level2_sol.mesh, X)
+        assert w.shape == (3,)
+        for k, x in enumerate(X):
+            assert w[k] == pytest.approx(bem.winding_number(level2_sol.mesh, x), abs=1e-14)
+        assert np.allclose(w, [1.0, 0.0, 1.0], atol=1e-10)
+
+    def test_kernel_rows_match_assembly(self, level2_sol):
+        mesh = level2_sol.mesh
+        M = bem.assemble_single_layer(mesh, 6)
+        rows = np.array([0, 7, 100, 101, mesh.num_panels - 1])
+        R = bem._single_layer_rows(mesh, rows, 6)
+        assert R.shape == (len(rows), mesh.num_panels)
+        assert np.abs(R - M[rows]).max() <= 1e-14 * np.abs(M[rows]).max()
+
+    def test_broadcast_self_integral(self, level2_sol):
+        p = level2_sol.mesh.vertices[level2_sol.mesh.triangles]
+        stacked = bem.self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2])
+        assert stacked.shape == (len(p),)
+        for k in range(len(p)):
+            one = bem.self_integral_inv_r(p[k, 0], p[k, 1], p[k, 2])
+            assert isinstance(one, float)
+            assert abs(stacked[k] - one) <= 1e-14 * abs(one)
+            assert abs(one - _frozen_self_integral(*p[k])) <= 1e-14 * abs(one)

@@ -223,3 +223,39 @@ class TestOracle:
         assert run(["oracle", "--shape", "sphere", "1.3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["capacity"] == oracles.ball_capacity(3, 1.3)
+
+
+class TestReviewedDefects:
+    @pytest.mark.parametrize("dims,seed", [("6", "6"), ("5", "913070797")])
+    def test_identity_check_exact_rows_pass(self, tmp_path, dims, seed):
+        # r^4's div_free_s2 residual is roundoff only; it must not be
+        # judged as a convergence order
+        out = tmp_path / "id.txt"
+        assert run(["identity-check", "--dims", dims, "--seed", seed,
+                    "--output", str(out)]) == 0
+        assert "FAIL" not in out.read_text()
+        assert run(["identity-check", "--dims", dims, "--seed", seed,
+                    "--inject-fault", "--output", str(out)]) == 1
+        assert "FAIL" in out.read_text()
+
+    def test_cond_estimate_printed_at_three_digits(self, tmp_path, monkeypatch):
+        solve_equilibrium = cli.bem.solve_equilibrium
+        solved = []
+
+        def solve(*a, **k):
+            solved.append(solve_equilibrium(*a, **k))
+            return solved[-1]
+
+        monkeypatch.setattr(cli.bem, "solve_equilibrium", solve)
+        out = tmp_path / "cap.json"
+        assert run(["capacity", "--shape", "sphere", "1", "2", "--output", str(out)]) == 0
+        printed = json.loads(out.read_text())["cond_estimate"]
+        assert printed == float(f"{solved[0].cond_estimate:.3g}")
+
+    def test_non_finite_report_is_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.oracles, "ball_capacity", lambda n, R: float("nan"))
+        out = tmp_path / "o.json"
+        assert run(["oracle", "--shape", "sphere", "1", "--output", str(out)]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "capacity" in err
+        assert not out.exists()

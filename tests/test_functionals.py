@@ -250,3 +250,30 @@ class TestVerdictAndReport:
         report = fn.verify_solution(sphere3_sol, level=3, seed=7)
         report2 = fn.verify_solution(sphere3_sol, level=3, seed=7)
         assert fn.report_to_json(report) == fn.report_to_json(report2)
+
+
+class TestSharedScan:
+    def test_verify_evaluates_each_point_once(self, spheroid3_sol, monkeypatch):
+        calls = []
+
+        def counting(sol, X):
+            calls.append(len(X))
+            return bem.eval_fields(sol, X)
+
+        monkeypatch.setattr(fn, "eval_fields", counting)
+        report = fn.verify_solution(spheroid3_sol, level=3, n_samples=24, seed=3)
+        assert calls == [24]
+        pts = fn.sample_exterior_points(spheroid3_sol.mesh, 24, 3)
+        assert report.newton_sup_deficit == fn.newton_scan(spheroid3_sol, pts)[0]
+        assert report.pbv_max_residual == fn.pbv_scan(spheroid3_sol, pts)
+
+
+class TestJsonNonFinite:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    def test_rejects_non_finite_naming_key(self, bad):
+        with pytest.raises(ValueError, match="f2_gap"):
+            fn.json_17g({"f1": 1.0, "f2_gap": bad})
+
+    def test_names_nested_list_entry(self):
+        with pytest.raises(fn.NonFiniteError, match=r"shape\[1\]"):
+            fn.json_17g({"config": {"shape": ["sphere", float("inf")]}})

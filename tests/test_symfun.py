@@ -173,3 +173,15 @@ class TestIsIdentityMultiple:
     def test_zero_matrix_floor(self):
         # relative floor max(1, ||A||) keeps the zero matrix well-defined
         assert symfun.is_identity_multiple(np.zeros((3, 3)), 1e-12)
+
+
+class TestNewtonDeficitClosedForm:
+    def test_matches_minor_form_and_is_nonnegative(self):
+        rng = np.random.default_rng(10)
+        for n in range(2, 9):
+            for _ in range(50):
+                A = random_symmetric(rng, n, scale=rng.uniform(0.1, 10.0))
+                ref = (n - 1) / (2.0 * n) * np.trace(A) ** 2 - symfun.sym_elementary(A, 2)
+                d = symfun.newton_deficit(A)
+                assert d >= 0.0
+                assert abs(d - ref) <= 1e-12 * abs(ref)
