@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.spatial import cKDTree
 
-from .geometry import MeshError, TriMesh, _unit_icosphere, validate
+from .geometry import MeshError, TriMesh, _unit_icosphere, require_valid
 
 FOUR_PI = 4.0 * math.pi
 
@@ -189,9 +189,7 @@ def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
 def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
     """Dense collocation matrix, all rows of `_single_layer_rows`, after
     validating the mesh."""
-    rep = validate(mesh)
-    if not rep.ok:
-        raise MeshError("mesh failed validation: " + "; ".join(rep.issues))
+    require_valid(mesh)
     return _single_layer_rows(mesh, np.arange(mesh.num_panels), quad_order)
 
 

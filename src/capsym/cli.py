@@ -9,10 +9,9 @@ The ball/not-ball verdict is data inside the report, never an exit code.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-
-import numpy as np
 
 from . import bem, functionals, geometry, identity_lab, oracles
 
@@ -65,12 +64,6 @@ def _load_input(args) -> tuple[geometry.TriMesh, int | None, dict]:
     return _build_shape(args.shape)
 
 
-def _require_valid(mesh: geometry.TriMesh) -> None:
-    rep = geometry.validate(mesh)
-    if not rep.ok:
-        raise CliError(EXIT_MESH, "mesh validation failed: " + "; ".join(rep.issues))
-
-
 def _emit(text: str, path) -> None:
     if path:
         with open(path, "w") as fh:
@@ -92,7 +85,6 @@ def _solve(mesh: geometry.TriMesh, quad_order: int) -> bem.EquilibriumSolution:
 
 def cmd_capacity(args) -> int:
     mesh, level, src = _load_input(args)
-    _require_valid(mesh)
     sol = _solve(mesh, args.quad_order)
     far = args.far_mult * mesh.diameter
     cap_charge, cap_asympt, cap_energy = bem.capacity_three_ways(sol, far)
@@ -120,7 +112,6 @@ def cmd_capacity(args) -> int:
 
 def cmd_verify(args) -> int:
     mesh, level, src = _load_input(args)
-    _require_valid(mesh)
     sol = _solve(mesh, args.quad_order)
     thresholds = functionals.default_thresholds(level)
     if args.tol_f1 is not None:
@@ -140,110 +131,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
-    dims = args.dims or [3, 4, 5, 6]
-    lines = []
-    all_ok = True
-
-    for n in dims:
-        rng = np.random.default_rng(args.seed)
-        funcs = identity_lab.standard_test_functions(n, rng)
-        pts = rng.uniform(0.3, 1.2, size=(args.points, n))
-        gammas = [float(g) for g in identity_lab.gamma_roots(n)] + [0.0, 1.0, -2.0]
-        for f in funcs:
-            f.check_consistency(pts[0])
-            for label, check in (
-                ("identity_A", identity_lab.check_identity_A),
-                ("identity_B", identity_lab.check_identity_B),
-                ("identity_C", identity_lab.check_identity_C),
-            ):
-                orders = []
-                for x in pts:
-                    for gamma in gammas:
-                        if gamma != int(gamma) and not f.positive:
-                            continue
-                        h = identity_lab.default_step(x)
-                        r1 = check(f, gamma, x, h)
-                        if args.inject_fault:
-                            r1 += 1e-3
-                        scale = max(1.0, abs(f.value(x)))
-                        if r1 < 1e-11 * scale:
-                            continue  # identity exact for this function
-                        r2 = check(f, gamma, x, h / 2.0)
-                        if args.inject_fault:
-                            r2 += 1e-3
-                        if r2 > 0:
-                            orders.append(float(np.log2(r1 / r2)))
-                if orders:
-                    med = float(np.median(orders))
-                    ok = 1.8 <= med <= 2.2
-                    all_ok &= ok
-                    lines.append(f"n={n} {f.name:>14} {label}: order {med:+.3f} "
-                                 f"{'ok' if ok else 'FAIL'}")
-            # divergence-free rows
-            orders = []
-            for x in pts:
-                h = identity_lab.default_step(x)
-                r1 = float(np.max(np.abs(identity_lab.check_div_free_s2(f, x, h))))
-                if args.inject_fault:
-                    r1 += 1e-3
-                if r1 < 1e-10 * max(1.0, abs(f.value(x))):
-                    continue  # identity exact for this function
-                r2 = float(np.max(np.abs(identity_lab.check_div_free_s2(f, x, h / 2))))
-                if args.inject_fault:
-                    r2 += 1e-3
-                if r2 > 0:
-                    orders.append(float(np.log2(r1 / r2)))
-            if orders:
-                med = float(np.median(orders))
-                ok = 1.8 <= med <= 2.2
-                all_ok &= ok
-                lines.append(f"n={n} {f.name:>14} div_free_s2: order {med:+.3f} "
-                             f"{'ok' if ok else 'FAIL'}")
-            # level-set identities, closed form
-            worst = 0.0
-            for x in pts:
-                g = np.linalg.norm(np.asarray(f.gradient(x)))
-                if g < 1e-8:
-                    continue
-                rp, rq = identity_lab.check_level_set_identity(f, x)
-                scale = max(1.0, g**3)
-                worst = max(worst, rp / scale, rq / scale)
-            if args.inject_fault:
-                worst += 1e-3
-            ok = worst <= 1e-11
-            all_ok &= ok
-            lines.append(f"n={n} {f.name:>14} level_set: residual {worst:.3e} "
-                         f"{'ok' if ok else 'FAIL'}")
-
-    lines.append("gamma roots (exact rational):")
-    for n in range(3, 11):
-        r1, r2 = identity_lab.gamma_roots(n)
-        c1 = identity_lab.gamma_coefficient(n, r1)
-        c2 = identity_lab.gamma_coefficient(n, r2)
-        ok = c1 == 0 and c2 == 0 and r1 == 1 - n and 2 * r2 == -n
-        all_ok &= ok
-        lines.append(f"  n={n}: gamma1={r1}, gamma2={r2}, coefficients "
-                     f"{c1},{c2} {'ok' if ok else 'FAIL'}")
-
-    # far-sphere boundary limits on the unit ball (oracle fields)
-    for n in dims:
-        g1, g2 = identity_lab.gamma_roots(n)
-        cap = oracles.ball_capacity(n, 1.0)
-        limit = identity_lab.boundary_limit_constant(n, cap)
-        rows1 = identity_lab.check_boundary_limits(n, [10.0, 100.0, 1000.0], float(g1))
-        rows2 = identity_lab.check_boundary_limits(n, [10.0, 100.0, 1000.0], float(g2))
-        f1_ok = all(abs(v) <= 1e-6 * max(1.0, limit) for _, v in rows1)
-        f2_ok = abs(rows2[-1][1] - limit) <= 0.01 * limit
-        if args.inject_fault:
-            f2_ok = False
-        all_ok &= f1_ok and f2_ok
-        lines.append(f"n={n} boundary limits: gamma1 flux max "
-                     f"{max(abs(v) for _, v in rows1):.3e} -> 0 {'ok' if f1_ok else 'FAIL'}; "
-                     f"gamma2 flux {rows2[-1][1]:.12g} vs {limit:.12g} "
-                     f"{'ok' if f2_ok else 'FAIL'}")
-
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all_ok else 1
+    result = identity_lab.run_suite(args.dims, args.points, args.seed, args.inject_fault)
+    _emit("\n".join(result.lines) + "\n", args.output)
+    return EXIT_OK if result.ok else 1
 
 
 def cmd_convergence(args) -> int:
@@ -261,13 +151,12 @@ def cmd_convergence(args) -> int:
     for level in levels:
         tokens = args.shape[:-1] if _shape_has_level(args.shape) else list(args.shape)
         mesh, _, _ = _build_shape(tokens + [str(level)])
-        _require_valid(mesh)
         t0 = time.perf_counter()
         sol = _solve(mesh, args.quad_order)
         rep = functionals.verify_solution(sol, level=level, seed=args.seed,
                                           n_samples=args.samples)
         wall = time.perf_counter() - t0
-        err = abs(sol.capacity - oracle_cap) / oracle_cap if oracle_cap else float("nan")
+        err = abs(sol.capacity - oracle_cap) / oracle_cap if oracle_cap else None
         rows.append((level, mesh.num_panels, sol.capacity, err, rep.f1,
                      rep.f2_lhs - rep.f2_rhs, rep.newton_sup_deficit, wall))
     lines = ["level,panels,capacity,cap_error,f1,f2_gap,newton_deficit,wall_time_s"]
@@ -326,9 +215,14 @@ def cmd_oracle(args) -> int:
 
 
 def _csv_cell(v) -> str:
+    """None is an empty cell; NaN and inf raise NonFiniteError, as in JSON."""
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise functionals.NonFiniteError(f"non-finite value {v} in a CSV cell")
         return format(v, ".17g")
     return str(v)
 
@@ -375,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identity-check", help="run the differential identity suite")
-    p.add_argument("--dims", type=int, nargs="+", default=None)
+    p.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5, 6])
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true",

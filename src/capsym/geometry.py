@@ -202,6 +202,13 @@ def validate(mesh: TriMesh) -> ValidationReport:
     )
 
 
+def require_valid(mesh: TriMesh) -> None:
+    """Raise MeshError listing every issue `validate` finds."""
+    rep = validate(mesh)
+    if not rep.ok:
+        raise MeshError("mesh failed validation: " + "; ".join(rep.issues))
+
+
 # ---------------------------------------------------------------------------
 # icosphere generators
 
@@ -367,9 +374,7 @@ def mean_curvature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     projection onto the outward vertex normal; per-panel values are the
     average of the three vertex values.
     """
-    rep = validate(mesh)
-    if not rep.ok:
-        raise MeshError("mesh failed validation: " + "; ".join(rep.issues))
+    require_valid(mesh)
     tri = mesh.triangles
     p = mesh.vertices[tri]
     areas = mesh.areas

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capsym import cli, geometry as geo, oracles
+from capsym import cli, geometry as geo, identity_lab, oracles
 
 
 def run(argv):
@@ -170,6 +170,17 @@ class TestIdentityCheck:
         assert code != 0
         assert "FAIL" in out.read_text()
 
+    @pytest.mark.parametrize("inject_fault", [False, True])
+    @pytest.mark.parametrize("seed", [0, 6, 913070797])
+    def test_output_matches_frozen_reference(self, tmp_path, seed, inject_fault):
+        out = tmp_path / "id.txt"
+        argv = ["identity-check", "--dims", "3", "4", "5", "6", "--points", "4",
+                "--seed", str(seed), "--output", str(out)]
+        code = run(argv + ["--inject-fault"] * inject_fault)
+        text, ref_code = _identity_check_reference([3, 4, 5, 6], 4, seed, inject_fault)
+        assert out.read_text() == text
+        assert code == ref_code
+
 
 class TestConvergence:
     def test_csv_contract_and_determinism(self, tmp_path):
@@ -184,6 +195,36 @@ class TestConvergence:
         for ra, rb in zip(la[1:], lb[1:]):
             # byte-identical except the wall-clock column
             assert ra.split(",")[:-1] == rb.split(",")[:-1]
+        oracle = oracles.ball_capacity(3, 1.0)
+        for row in la[1:]:
+            cells = row.split(",")
+            assert all(cells)
+            assert cells[3] == format(abs(float(cells[2]) - oracle) / oracle, ".17g")
+
+    def test_shape_without_oracle_leaves_cap_error_empty(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["convergence", "--shape", "bumpy", "1", "--min-level", "1",
+                    "--max-level", "2", "--output", str(out)]) == 0
+        text = out.read_text()
+        assert "nan" not in text
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+        assert len(rows) == 2
+        for r in rows:
+            assert r[3] == "" and all(r[:3] + r[4:])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_csv_cell_rejects_non_finite(self, value):
+        with pytest.raises(cli.functionals.NonFiniteError):
+            cli._csv_cell(value)
+
+    def test_non_finite_csv_is_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.bem, "capacity_three_ways",
+                            lambda sol, far: (sol.capacity, float("nan"), sol.capacity))
+        out = tmp_path / "cap.csv"
+        assert run(["capacity", "--shape", "sphere", "1", "1", "--format", "csv",
+                    "--output", str(out)]) == cli.EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("error: non-finite value nan")
+        assert not out.exists()
 
     def test_error_decreases_with_level(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -259,3 +300,140 @@ class TestReviewedDefects:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "capacity" in err
         assert not out.exists()
+
+
+class TestSingleValidation:
+    """Each solve validates its mesh once, inside the library."""
+
+    @pytest.fixture()
+    def validate_calls(self, monkeypatch):
+        from capsym import bem, functionals
+
+        original, calls = geo.validate, []
+
+        def counting(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        for module in (geo, bem, functionals, cli):
+            if getattr(module, "validate", None) is original:
+                monkeypatch.setattr(module, "validate", counting)
+        return calls
+
+    @pytest.mark.parametrize("extra,expected", [([], 1), (["--discrete-curvature"], 2)])
+    def test_verify_validates_once_per_use(self, tmp_path, validate_calls, extra, expected):
+        out = tmp_path / "v.json"
+        assert run(["verify", "--shape", "sphere", "1", "2", "--output", str(out)] + extra) == 0
+        assert len(validate_calls) == expected
+
+    def test_broken_mesh_error_comes_from_library(self, broken_off, capsys, validate_calls):
+        assert run(["verify", "--mesh", broken_off]) == cli.EXIT_MESH
+        assert capsys.readouterr().err.startswith("error: mesh failed validation: open edges")
+        assert len(validate_calls) == 1
+
+
+def _identity_check_reference(dims, points, seed, inject_fault):
+    """The identity suite as the CLI ran it before it moved into
+    `identity_lab.run_suite`, frozen as the reference: (text, exit code)."""
+    lines = []
+    all_ok = True
+
+    for n in dims:
+        rng = np.random.default_rng(seed)
+        funcs = identity_lab.standard_test_functions(n, rng)
+        pts = rng.uniform(0.3, 1.2, size=(points, n))
+        gammas = [float(g) for g in identity_lab.gamma_roots(n)] + [0.0, 1.0, -2.0]
+        for f in funcs:
+            f.check_consistency(pts[0])
+            for label, check in (
+                ("identity_A", identity_lab.check_identity_A),
+                ("identity_B", identity_lab.check_identity_B),
+                ("identity_C", identity_lab.check_identity_C),
+            ):
+                orders = []
+                for x in pts:
+                    for gamma in gammas:
+                        if gamma != int(gamma) and not f.positive:
+                            continue
+                        h = identity_lab.default_step(x)
+                        r1 = check(f, gamma, x, h)
+                        if inject_fault:
+                            r1 += 1e-3
+                        scale = max(1.0, abs(f.value(x)))
+                        if r1 < 1e-11 * scale:
+                            continue  # identity exact for this function
+                        r2 = check(f, gamma, x, h / 2.0)
+                        if inject_fault:
+                            r2 += 1e-3
+                        if r2 > 0:
+                            orders.append(float(np.log2(r1 / r2)))
+                if orders:
+                    med = float(np.median(orders))
+                    ok = 1.8 <= med <= 2.2
+                    all_ok &= ok
+                    lines.append(f"n={n} {f.name:>14} {label}: order {med:+.3f} "
+                                 f"{'ok' if ok else 'FAIL'}")
+            # divergence-free rows
+            orders = []
+            for x in pts:
+                h = identity_lab.default_step(x)
+                r1 = float(np.max(np.abs(identity_lab.check_div_free_s2(f, x, h))))
+                if inject_fault:
+                    r1 += 1e-3
+                if r1 < 1e-10 * max(1.0, abs(f.value(x))):
+                    continue  # identity exact for this function
+                r2 = float(np.max(np.abs(identity_lab.check_div_free_s2(f, x, h / 2))))
+                if inject_fault:
+                    r2 += 1e-3
+                if r2 > 0:
+                    orders.append(float(np.log2(r1 / r2)))
+            if orders:
+                med = float(np.median(orders))
+                ok = 1.8 <= med <= 2.2
+                all_ok &= ok
+                lines.append(f"n={n} {f.name:>14} div_free_s2: order {med:+.3f} "
+                             f"{'ok' if ok else 'FAIL'}")
+            # level-set identities, closed form
+            worst = 0.0
+            for x in pts:
+                g = np.linalg.norm(np.asarray(f.gradient(x)))
+                if g < 1e-8:
+                    continue
+                rp, rq = identity_lab.check_level_set_identity(f, x)
+                scale = max(1.0, g**3)
+                worst = max(worst, rp / scale, rq / scale)
+            if inject_fault:
+                worst += 1e-3
+            ok = worst <= 1e-11
+            all_ok &= ok
+            lines.append(f"n={n} {f.name:>14} level_set: residual {worst:.3e} "
+                         f"{'ok' if ok else 'FAIL'}")
+
+    lines.append("gamma roots (exact rational):")
+    for n in range(3, 11):
+        r1, r2 = identity_lab.gamma_roots(n)
+        c1 = identity_lab.gamma_coefficient(n, r1)
+        c2 = identity_lab.gamma_coefficient(n, r2)
+        ok = c1 == 0 and c2 == 0 and r1 == 1 - n and 2 * r2 == -n
+        all_ok &= ok
+        lines.append(f"  n={n}: gamma1={r1}, gamma2={r2}, coefficients "
+                     f"{c1},{c2} {'ok' if ok else 'FAIL'}")
+
+    # far-sphere boundary limits on the unit ball (oracle fields)
+    for n in dims:
+        g1, g2 = identity_lab.gamma_roots(n)
+        cap = oracles.ball_capacity(n, 1.0)
+        limit = identity_lab.boundary_limit_constant(n, cap)
+        rows1 = identity_lab.check_boundary_limits(n, [10.0, 100.0, 1000.0], float(g1))
+        rows2 = identity_lab.check_boundary_limits(n, [10.0, 100.0, 1000.0], float(g2))
+        f1_ok = all(abs(v) <= 1e-6 * max(1.0, limit) for _, v in rows1)
+        f2_ok = abs(rows2[-1][1] - limit) <= 0.01 * limit
+        if inject_fault:
+            f2_ok = False
+        all_ok &= f1_ok and f2_ok
+        lines.append(f"n={n} boundary limits: gamma1 flux max "
+                     f"{max(abs(v) for _, v in rows1):.3e} -> 0 {'ok' if f1_ok else 'FAIL'}; "
+                     f"gamma2 flux {rows2[-1][1]:.12g} vs {limit:.12g} "
+                     f"{'ok' if f2_ok else 'FAIL'}")
+
+    return "\n".join(lines) + "\n", 0 if all_ok else 1

@@ -231,3 +231,47 @@ class TestBoundaryLimits:
     def test_interior_radius_rejected(self):
         with pytest.raises(ValueError, match="inside"):
             lab.check_boundary_limits(3, [0.5], -2.0)
+
+
+def _div_free_cases(f, pts):
+    return [(x, lambda h, x=x: float(np.max(np.abs(lab.check_div_free_s2(f, x, h)))))
+            for x in pts]
+
+
+class TestSuite:
+    def test_default_suite_passes(self):
+        result = lab.run_suite([3], 4, 0)
+        assert result.ok
+        assert len(result.lines) == len(result.line_ok)
+
+    def test_injected_fault_fails_every_measured_row(self):
+        result = lab.run_suite([3], 4, 0, inject_fault=True)
+        assert not result.ok
+        kinds = {"order": [], "level_set": [], "boundary": [], "gamma": []}
+        for line, ok in zip(result.lines, result.line_ok):
+            if ": order " in line:
+                kinds["order"].append(ok)
+            elif " level_set: " in line:
+                kinds["level_set"].append(ok)
+            elif " boundary limits: " in line:
+                kinds["boundary"].append(ok)
+            elif "gamma1=" in line:
+                kinds["gamma"].append(ok)
+        assert all(kinds.values())
+        assert not any(kinds["order"] + kinds["level_set"] + kinds["boundary"])
+        assert all(kinds["gamma"]) and len(kinds["gamma"]) == 8
+
+    def test_exact_rows_give_no_order(self):
+        n = 3
+        f = next(f for f in lab.standard_test_functions(n) if f.name == "one_plus_r2")
+        pts = _rng_points(n, 4)
+        assert lab.median_order(f, _div_free_cases(f, pts), 1e-10) is None
+        # an exact row stays exact under the cut-off only without a fault
+        assert lab.median_order(f, _div_free_cases(f, pts), 1e-10, fault=1e-3) is not None
+        assert not any("one_plus_r2 div_free_s2" in line
+                       for line in lab.run_suite([n], 4, 0).lines)
+
+    def test_inexact_row_is_second_order(self):
+        n = 3
+        f = next(f for f in lab.standard_test_functions(n) if f.name == "exp_sin")
+        assert 1.8 <= lab.median_order(f, _div_free_cases(f, _rng_points(n, 4)), 1e-10) <= 2.2
