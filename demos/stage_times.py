@@ -1,0 +1,84 @@
+# # Stage times of one equilibrium solve and one batch of evaluations
+#
+# Times each stage of `bem.solve_equilibrium` (far-field, near-field and
+# self-integral parts of the assembly, the 1-norm, LU, condition estimate,
+# back substitution and the residual rows) and one `bem.eval_fields` call on
+# the sample points `verify` would scan, with `time.perf_counter`; the last
+# line is the process's peak RSS from `resource`.
+#
+#     python demos/stage_times.py LEVEL [--spheroid] [--samples N] [--seed S]
+#
+# `4 --samples 27` is the work of a `capsym verify --shape sphere R 4
+# --samples 27` job, `3 --spheroid --samples 512` that of a level-3 2:1:1
+# spheroid verify with 512 samples.  Set OPENBLAS_NUM_THREADS=1 for
+# single-thread numbers.
+
+import argparse
+import resource
+import time
+
+import numpy as np
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+
+from capsym import bem, functionals as fn, geometry as geo
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description="Stage times of one equilibrium solve.")
+    ap.add_argument("level", type=int)
+    ap.add_argument("--spheroid", action="store_true", help="2:1:1 spheroid instead of a sphere")
+    ap.add_argument("--samples", type=int, default=64)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--quad-order", type=int, default=6)
+    args = ap.parse_args()
+
+    times = {}
+
+    def stage(name, f, *a, **kw):
+        t0 = time.perf_counter()
+        result = f(*a, **kw)
+        times[name] = time.perf_counter() - t0
+        return result
+
+    mesh = stage("mesh", geo.make_ellipsoid_mesh, 2.0, 1.0, 1.0, args.level) if args.spheroid \
+        else stage("mesh", geo.make_sphere_mesh, 1.3, args.level)
+    F, order = mesh.num_panels, args.quad_order
+    stage("validate", geo.require_valid, mesh)
+
+    # assemble_single_layer, one part at a time
+    rows = np.arange(F)
+    M = np.empty((F, F), order="F")
+    stage("far", bem._far_entries, M, mesh, rows, order)
+    stage("near", bem._near_entries, M, mesh, rows, order)
+    stage("diagonal", bem._self_entries, M, mesh, rows)
+    times["assembly"] = times["far"] + times["near"] + times["diagonal"]
+
+    # the rest of solve_equilibrium, in its order
+    anorm = stage("anorm", bem._one_norm, M)
+    lu, piv = stage("lu", lu_factor, M, overwrite_a=True)
+    (gecon,) = get_lapack_funcs(("gecon",), (lu,))
+    stage("gecon", gecon, lu, anorm, norm="1")
+    sigma = stage("lu_solve", lu_solve, (lu, piv), np.ones(F))
+    rng = np.random.default_rng(0)
+    sample = np.arange(F) if F <= 200 else np.sort(rng.choice(F, 200, replace=False))
+    R = stage("residual", bem._single_layer_rows, mesh, sample, order)
+    residual = float(np.max(np.abs(R @ sigma - 1.0)))
+
+    sol = bem.EquilibriumSolution(mesh=mesh, sigma=sigma, capacity=float(sigma @ mesh.areas),
+                                  quad_order=order, residual_inf=residual,
+                                  cond_estimate=float("nan"), sigma_positive=True)
+    X = fn.sample_exterior_points(mesh, args.samples, args.seed)
+    stage("eval_fields", bem.eval_fields, sol, X)
+
+    shape = "spheroid 2:1:1" if args.spheroid else "sphere R=1.3"
+    print(f"{shape}, level {args.level}: {F} panels, quad order {order}, "
+          f"{args.samples} evaluation points")
+    for name, t in times.items():
+        print(f"  {name:<12} {t:8.3f} s")
+    print(f"  capacity     {sol.capacity:.17g}")
+    print(f"  residual     {residual:.3e}")
+    print(f"  peak_rss     {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.1f} MB")
+
+
+if __name__ == "__main__":
+    main()

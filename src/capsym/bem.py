@@ -27,10 +27,20 @@ from .geometry import MeshError, TriMesh, _unit_icosphere, require_valid
 
 FOUR_PI = 4.0 * math.pi
 
-# chunk size of the kernel loops: a row chunk holds _BLOCK distances
-# (rows x F*Q), a point chunk _BLOCK offsets (points x F*Q x 3), since
-# evaluation keeps several such blocks alive; well under the dense matrix
-_BLOCK = 5e6
+# element budget of one kernel temporary.  The kernel loops keep the three
+# coordinates in separate contiguous planes and cut their work into chunks
+# whose planes hold at most _CHUNK doubles (1 MB): two (panels*Q, rows)
+# planes in the far field, seven (points, F*Q) planes in eval_fields.
+# Every numpy pass over them then runs in cache, where a (rows, F*Q, 3)
+# difference block would stream through DRAM once per pass.  The
+# near-field pairs, the 1-norm's column blocks and the winding-number test
+# are chunked by the same budget.
+_CHUNK = 2**17
+
+
+def _chunk_len(width: int) -> int:
+    """Rows of a chunk whose rows hold `width` elements each."""
+    return max(1, _CHUNK // width)
 
 
 class SolverError(RuntimeError):
@@ -154,22 +164,52 @@ def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
     quadrature; everything else by the plain panel rule.
     """
     rows = np.asarray(rows)
-    F = mesh.num_panels
-    cen = mesh.centroids
-    pts, wts = panel_quadrature(mesh, order)
-    Q = pts.shape[1]
-    pts, wts = pts.reshape(-1, 3), wts.reshape(-1)
-
     # Fortran order lets the LU factorization downstream work truly in
     # place; a C-ordered matrix would be copied by LAPACK
-    out = np.empty((len(rows), F), order="F")
-    chunk = max(1, int(_BLOCK / len(pts)))
-    for start in range(0, len(rows), chunk):
-        d = _norm(cen[rows[start:start + chunk], None, :] - pts)
-        np.divide(wts, d, out=d)
-        out[start:start + chunk] = d.reshape(len(d), F, Q).sum(axis=2) / FOUR_PI
+    out = np.empty((len(rows), mesh.num_panels), order="F")
+    _far_entries(out, mesh, rows, order)
+    _near_entries(out, mesh, rows, order)
+    _self_entries(out, mesh, rows)
+    return out
 
-    # near-diagonal correction: one level of 4:1 subdivision
+
+def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
+    """Every entry of `out` by the plain panel rule.
+
+    Column chunk by column chunk, so that each chunk lands in a contiguous
+    block of the Fortran-ordered `out`: the squared distances from the
+    chunk's quadrature points to all collocation points are summed
+    coordinate by coordinate in two reused (points, rows) planes, then
+    turned into w/|c - y| in place and summed over each panel's points.
+    Distances are formed from the differences, never as
+    |c|^2 + |y|^2 - 2 c.y, whose cancellation would cost digits next to
+    the panels.
+    """
+    pts, wts = panel_quadrature(mesh, order)
+    F, Q = wts.shape
+    C = np.ascontiguousarray(mesh.centroids[rows].T)
+    cols = _chunk_len(len(rows) * Q)
+    d_buf, t_buf = np.empty((2, min(cols, F) * Q, len(rows)))
+    for start in range(0, F, cols):
+        y = pts[start:start + cols].reshape(-1, 3)
+        w = wts[start:start + cols].reshape(-1, 1)
+        d, t = d_buf[:len(y)], t_buf[:len(y)]
+        np.subtract(C[0], y[:, 0:1], out=d)
+        np.multiply(d, d, out=d)
+        for k in (1, 2):
+            np.subtract(C[k], y[:, k:k + 1], out=t)
+            np.multiply(t, t, out=t)
+            np.add(d, t, out=d)
+        np.sqrt(d, out=d)
+        np.divide(w, d, out=d)
+        m = len(y) // Q
+        np.divide(d.reshape(m, Q, -1).sum(axis=1).T, FOUR_PI, out=out[:, start:start + m])
+
+
+def _near_entries(out, mesh: TriMesh, rows, order: int) -> None:
+    """Overwrite the near-diagonal entries of `out` by one level of 4:1
+    subdivision, in chunks of candidate pairs."""
+    cen = mesh.centroids
     max_edge = mesh.edge_lengths.max(axis=1)
     near = cKDTree(cen[rows]).sparse_distance_matrix(
         cKDTree(cen), 2.0 * float(max_edge.max()), output_type="ndarray")
@@ -178,12 +218,17 @@ def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
     keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
     r, i, j = r[keep], i[keep], j[keep]
     spts, swts = panel_quadrature(mesh, order, subdivide=True)
-    out[r, j] = (swts[j] / _norm(cen[i][:, None, :] - spts[j])).sum(axis=1) / FOUR_PI
+    chunk = _chunk_len(spts[0].size)
+    for start in range(0, len(r), chunk):
+        ic, jc = i[start:start + chunk], j[start:start + chunk]
+        out[r[start:start + chunk], jc] = (
+            swts[jc] / _norm(cen[ic][:, None, :] - spts[jc])).sum(axis=1) / FOUR_PI
 
-    # diagonal: exact self-integral
+
+def _self_entries(out, mesh: TriMesh, rows) -> None:
+    """Overwrite the diagonal entries of `out` by the exact self-integral."""
     p = mesh.vertices[mesh.triangles[rows]]
     out[np.arange(len(rows)), rows] = self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2]) / FOUR_PI
-    return out
 
 
 def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
@@ -210,6 +255,14 @@ class EquilibriumSolution:
     sigma_positive: bool
 
 
+def _one_norm(M) -> float:
+    """max_j sum_i |M_ij|, over cache-sized blocks of (Fortran-ordered)
+    columns: np.abs of the whole matrix would double the peak memory."""
+    cols = _chunk_len(M.shape[0])
+    return max(float(np.abs(M[:, start:start + cols]).sum(axis=0).max())
+               for start in range(0, M.shape[1], cols))
+
+
 def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
                       cond_limit: float = 1e12) -> EquilibriumSolution:
     """Solve S sigma = 1 by dense LU with partial pivoting.
@@ -222,11 +275,7 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
     """
     M = assemble_single_layer(mesh, quad_order)
     F = mesh.num_panels
-    # 1-norm in column blocks: np.abs(M) on the whole matrix would double
-    # the peak memory at the largest refinement levels
-    anorm = 0.0
-    for start in range(0, F, 1024):
-        anorm = max(anorm, float(np.abs(M[:, start:start + 1024]).sum(axis=0).max()))
+    anorm = _one_norm(M)
     try:
         lu, piv = lu_factor(M, overwrite_a=True)
     except Exception as exc:  # singular factorization
@@ -316,25 +365,42 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     if X.ndim != 2 or X.shape[1] != 3:
         raise ValueError(f"evaluation points must have shape (P, 3), got {X.shape}")
     pts, wts = panel_quadrature(sol.mesh, sol.quad_order)
-    ys = pts.reshape(-1, 3)
+    Y = np.ascontiguousarray(pts.reshape(-1, 3).T)
     sw = (wts * sol.sigma[:, None]).reshape(-1)
-    u, Du, D2u = np.empty(len(X)), np.empty((len(X), 3)), np.empty((len(X), 3, 3))
-    chunk = max(1, int(_BLOCK / (3 * len(ys))))
-    for start in range(0, len(X), chunk):
+    P, n = len(X), len(sw)
+    u, Du, D2u = np.empty(P), np.empty((P, 3)), np.empty((P, 3, 3))
+    chunk = _chunk_len(n)
+    # per chunk: the three planes of r = x - y, then 1/|r|, sigma w/|r|^3,
+    # sigma w/|r|^5 and one scratch plane, each (points, F*Q)
+    planes = np.empty((7, min(chunk, P), n))
+    for start in range(0, P, chunk):
         x = X[start:start + chunk]
         inside = winding_number(sol.mesh, x) > 0.5
         if inside.any():
             raise ValueError(f"evaluation point {x[np.argmax(inside)].tolist()} "
                              "lies inside the surface")
-        diff = x[:, None, :] - ys  # (p, F*Q, 3)
-        inv_r = 1.0 / _norm(diff)
-        w3 = sw * inv_r * inv_r * inv_r
-        w5 = w3 * inv_r * inv_r
-        u[start:start + chunk] = inv_r @ sw
-        Du[start:start + chunk] = -(w3[:, None, :] @ diff)[:, 0]
-        D2u[start:start + chunk] = (
-            3.0 * ((diff * w5[..., None]).transpose(0, 2, 1) @ diff)
-            - w3.sum(axis=1)[:, None, None] * np.eye(3))
+        m = len(x)
+        diff, (inv_r, w3, w5, t) = planes[:3, :m], planes[3:, :m]
+        for k in range(3):
+            np.subtract(x[:, k:k + 1], Y[k], out=diff[k])
+        np.multiply(diff[0], diff[0], out=inv_r)
+        for k in (1, 2):
+            np.multiply(diff[k], diff[k], out=t)
+            np.add(inv_r, t, out=inv_r)
+        np.sqrt(inv_r, out=inv_r)
+        np.divide(1.0, inv_r, out=inv_r)
+        np.multiply(inv_r, inv_r, out=t)
+        np.multiply(sw, inv_r, out=w3)
+        np.multiply(w3, t, out=w3)
+        np.multiply(w3, t, out=w5)
+        at = slice(start, start + m)
+        u[at] = inv_r @ sw
+        for a in range(3):
+            Du[at, a] = -np.einsum("pn,pn->p", w3, diff[a])
+            np.multiply(w5, diff[a], out=t)
+            for b in range(a, 3):
+                D2u[at, a, b] = D2u[at, b, a] = 3.0 * np.einsum("pn,pn->p", t, diff[b])
+        D2u[at] -= w3.sum(axis=1)[:, None, None] * np.eye(3)
     return u / FOUR_PI, Du / FOUR_PI, D2u / FOUR_PI
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
-from capsym import bem, geometry as geo, oracles
+from capsym import bem, functionals as fn, geometry as geo, oracles
 
 FOUR_PI = 4.0 * math.pi
 
@@ -294,6 +296,44 @@ def _frozen_fields(sol, x):
     return u, Du, H / FOUR_PI
 
 
+def _frozen_norm(v):
+    s = np.asarray(np.einsum("...k,...k->...", v, v))
+    return np.sqrt(s, out=s)
+
+
+def _frozen_single_layer_rows(mesh, rows, order):
+    # the row kernel as it was before its loops were made cache-sized: the
+    # far field by one (rows, F*Q, 3) difference block per 5e6 distances,
+    # the near field over all pairs at once
+    rows = np.asarray(rows)
+    F = mesh.num_panels
+    cen = mesh.centroids
+    pts, wts = bem.panel_quadrature(mesh, order)
+    Q = pts.shape[1]
+    pts, wts = pts.reshape(-1, 3), wts.reshape(-1)
+
+    out = np.empty((len(rows), F), order="F")
+    chunk = max(1, int(5e6 / len(pts)))
+    for start in range(0, len(rows), chunk):
+        d = _frozen_norm(cen[rows[start:start + chunk], None, :] - pts)
+        np.divide(wts, d, out=d)
+        out[start:start + chunk] = d.reshape(len(d), F, Q).sum(axis=2) / FOUR_PI
+
+    max_edge = mesh.edge_lengths.max(axis=1)
+    near = cKDTree(cen[rows]).sparse_distance_matrix(
+        cKDTree(cen), 2.0 * float(max_edge.max()), output_type="ndarray")
+    r, j = near["i"], near["j"]
+    i = rows[r]
+    keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
+    r, i, j = r[keep], i[keep], j[keep]
+    spts, swts = bem.panel_quadrature(mesh, order, subdivide=True)
+    out[r, j] = (swts[j] / _frozen_norm(cen[i][:, None, :] - spts[j])).sum(axis=1) / FOUR_PI
+
+    p = mesh.vertices[mesh.triangles[rows]]
+    out[np.arange(len(rows)), rows] = bem.self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2]) / FOUR_PI
+    return out
+
+
 @pytest.fixture(scope="module", params=["sphere", "spheroid"])
 def level2_sol(request):
     if request.param == "sphere":
@@ -347,3 +387,56 @@ class TestSharedKernels:
             assert isinstance(one, float)
             assert abs(stacked[k] - one) <= 1e-14 * abs(one)
             assert abs(one - _frozen_self_integral(*p[k])) <= 1e-14 * abs(one)
+
+
+def _moved_scaled_spheroid():
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    return geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2).transformed(
+        q, np.array([0.3, -1.2, 0.7])).scaled(2.5)
+
+
+class TestCacheSizedKernels:
+    @pytest.mark.parametrize("budget", ["default", "small"])
+    @pytest.mark.parametrize("subset", ["unsorted", "single", "chunk+1", "all"])
+    @pytest.mark.parametrize("shape", ["sphere", "spheroid", "moved+scaled"])
+    def test_rows_match_frozen_kernel(self, shape, subset, budget, monkeypatch):
+        mesh = {"sphere": lambda: geo.make_sphere_mesh(1.0, 2),
+                "spheroid": lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2),
+                "moved+scaled": _moved_scaled_spheroid}[shape]()
+        F = mesh.num_panels
+        if budget == "small":
+            # chunk boundaries inside the column range and the pair range
+            monkeypatch.setattr(bem, "_CHUNK", 6 * 40 * 7)
+        rows = {"unsorted": np.random.default_rng(3).permutation(F)[:57],
+                "single": np.array([F // 3]),
+                # one row more than a chunk of F*Q-wide planes holds
+                "chunk+1": np.arange(bem._chunk_len(F * 6) + 1),
+                "all": np.arange(F)}[subset]
+        R = bem._single_layer_rows(mesh, rows, 6)
+        R0 = _frozen_single_layer_rows(mesh, rows, 6)
+        assert R.shape == R0.shape == (len(rows), F) and R.flags.f_contiguous
+        assert np.all(np.abs(R - R0) <= 1e-13 * np.abs(R0))
+
+    def test_assembly_peak_below_twice_the_matrix(self):
+        mesh = geo.make_sphere_mesh(1.0, 3)
+        tracemalloc.start()
+        try:
+            M = bem.assemble_single_layer(mesh, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * M.nbytes
+
+    def test_eval_fields_peak_independent_of_points(self, sphere3_sol):
+        peaks = {}
+        for count in (32, 512):
+            X = fn.sample_exterior_points(sphere3_sol.mesh, count, 0)
+            tracemalloc.start()
+            try:
+                bem.eval_fields(sphere3_sol, X)
+                _, peaks[count] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] < 16 * 2**20
+        # beyond the 13 output doubles per point, nothing grows with the count
+        assert peaks[512] - peaks[32] < 2 * 480 * 13 * 8
