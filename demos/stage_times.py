@@ -3,15 +3,18 @@
 # Times each stage of `bem.solve_equilibrium` (far-field, near-field and
 # self-integral parts of the assembly, the 1-norm, LU, condition estimate,
 # back substitution and the residual rows) and one `bem.eval_fields` call on
-# the sample points `verify` would scan, with `time.perf_counter`; the last
-# line is the process's peak RSS from `resource`.
+# the sample points `verify` would scan, with `time.perf_counter`.  It also
+# prints the number of lanes the far field ran on (one per usable core) and
+# how many evaluation points lay within the mesh's bounding sphere and so
+# needed the winding-number inside test; the last line is the process's
+# peak RSS from `resource`.
 #
 #     python demos/stage_times.py LEVEL [--spheroid] [--samples N] [--seed S]
 #
 # `4 --samples 27` is the work of a `capsym verify --shape sphere R 4
 # --samples 27` job, `3 --spheroid --samples 512` that of a level-3 2:1:1
 # spheroid verify with 512 samples.  Set OPENBLAS_NUM_THREADS=1 for
-# single-thread numbers.
+# single-thread BLAS, and run under `taskset -c 0` for one far-field lane.
 
 import argparse
 import resource
@@ -48,7 +51,7 @@ def main() -> None:
     # assemble_single_layer, one part at a time
     rows = np.arange(F)
     M = np.empty((F, F), order="F")
-    stage("far", bem._far_entries, M, mesh, rows, order)
+    lanes = stage("far", bem._far_entries, M, mesh, rows, order)
     stage("near", bem._near_entries, M, mesh, rows, order)
     stage("diagonal", bem._self_entries, M, mesh, rows)
     times["assembly"] = times["far"] + times["near"] + times["diagonal"]
@@ -69,10 +72,13 @@ def main() -> None:
                                   cond_estimate=float("nan"), sigma_positive=True)
     X = fn.sample_exterior_points(mesh, args.samples, args.seed)
     stage("eval_fields", bem.eval_fields, sol, X)
+    tested = int(np.count_nonzero(bem._within_bounding_sphere(mesh, X)))
 
     shape = "spheroid 2:1:1" if args.spheroid else "sphere R=1.3"
     print(f"{shape}, level {args.level}: {F} panels, quad order {order}, "
           f"{args.samples} evaluation points")
+    print(f"  far-field lanes {lanes}; {tested} of {args.samples} evaluation points "
+          "needed the inside test")
     for name, t in times.items():
         print(f"  {name:<12} {t:8.3f} s")
     print(f"  capacity     {sol.capacity:.17g}")

@@ -17,6 +17,9 @@ D2u off the surface; every other evaluation goes through it.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,64 @@ _CHUNK = 2**17
 def _chunk_len(width: int) -> int:
     """Rows of a chunk whose rows hold `width` elements each."""
     return max(1, _CHUNK // width)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask where the
+    platform has one (so `taskset -c 0` gives one lane), else all."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# the lanes beyond the calling thread's, created on first use so that
+# importing the package starts no thread; a forked child, which inherits
+# the executor but not its threads (and the lock perhaps held), makes its own
+_lane_pool: ThreadPoolExecutor | None = None
+_lane_pool_lock = threading.Lock()
+
+
+def _forget_lane_pool() -> None:
+    global _lane_pool, _lane_pool_lock
+    _lane_pool, _lane_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane_pool)
+
+
+def _lane_executor() -> ThreadPoolExecutor:
+    global _lane_pool
+    with _lane_pool_lock:
+        if _lane_pool is None:
+            _lane_pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
+                                            thread_name_prefix="capsym-lane")
+        return _lane_pool
+
+
+def _each_chunk(body, starts, lanes: int) -> None:
+    """Call body(lane, start) for every chunk start; lane w takes
+    starts[w::lanes], lane 0 on the calling thread and the others on the
+    lane executor.  The numpy passes inside body release the GIL, so the
+    lanes overlap.  Returns, or raises a lane's exception, only once every
+    lane has finished, so no lane still writes into the caller's buffers.
+    """
+    def run(lane):
+        for start in starts[lane::lanes]:
+            body(lane, start)
+
+    if lanes == 1:
+        run(0)
+        return
+    pool = _lane_executor()
+    others = [pool.submit(run, lane) for lane in range(1, lanes)]
+    try:
+        run(0)
+    finally:
+        wait(others)
+    for f in others:
+        f.result()
 
 
 class SolverError(RuntimeError):
@@ -173,8 +234,9 @@ def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
     return out
 
 
-def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
-    """Every entry of `out` by the plain panel rule.
+def _far_entries(out, mesh: TriMesh, rows, order: int) -> int:
+    """Every entry of `out` by the plain panel rule; returns the number of
+    lanes it ran on.
 
     Column chunk by column chunk, so that each chunk lands in a contiguous
     block of the Fortran-ordered `out`: the squared distances from the
@@ -184,16 +246,26 @@ def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
     Distances are formed from the differences, never as
     |c|^2 + |y|^2 - 2 c.y, whose cancellation would cost digits next to
     the panels.
+
+    The chunks are spread over one lane per usable core.  The chunk grid
+    and each chunk's arithmetic do not depend on the lanes, so neither
+    does any entry.  Each lane gets its own scratch planes, allocated here:
+    blocks that worker threads allocate and free stay in glibc's
+    per-thread arenas and raise the peak RSS.
     """
     pts, wts = panel_quadrature(mesh, order)
     F, Q = wts.shape
     C = np.ascontiguousarray(mesh.centroids[rows].T)
     cols = _chunk_len(len(rows) * Q)
-    d_buf, t_buf = np.empty((2, min(cols, F) * Q, len(rows)))
-    for start in range(0, F, cols):
+    starts = range(0, F, cols)
+    lanes = min(_usable_cores(), len(starts))
+    planes = np.empty((lanes, 2, min(cols, F) * Q, len(rows)))
+    sums = np.empty((lanes, min(cols, F), len(rows)))
+
+    def chunk(lane, start):
         y = pts[start:start + cols].reshape(-1, 3)
         w = wts[start:start + cols].reshape(-1, 1)
-        d, t = d_buf[:len(y)], t_buf[:len(y)]
+        d, t = planes[lane, :, :len(y)]
         np.subtract(C[0], y[:, 0:1], out=d)
         np.multiply(d, d, out=d)
         for k in (1, 2):
@@ -203,7 +275,11 @@ def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
         np.sqrt(d, out=d)
         np.divide(w, d, out=d)
         m = len(y) // Q
-        np.divide(d.reshape(m, Q, -1).sum(axis=1).T, FOUR_PI, out=out[:, start:start + m])
+        s = d.reshape(m, Q, -1).sum(axis=1, out=sums[lane, :m])
+        np.divide(s.T, FOUR_PI, out=out[:, start:start + m])
+
+    _each_chunk(chunk, starts, lanes)
+    return lanes
 
 
 def _near_entries(out, mesh: TriMesh, rows, order: int) -> None:
@@ -353,13 +429,21 @@ def evaluation_distance_ratio(sol: EquilibriumSolution, x) -> float:
     return float(d[k] / sol.mesh.edge_lengths[k].max())
 
 
+def _within_bounding_sphere(mesh: TriMesh, X) -> np.ndarray:
+    """Mask of the points X (P, 3) that lie within the mesh's bounding
+    sphere, the only ones that can be inside the surface."""
+    return np.linalg.norm(X - mesh.center, axis=1) <= mesh.bounding_radius
+
+
 def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u (P,), Du (P, 3) and D2u (P, 3, 3) at the exterior points X (P, 3).
 
     u(x) = int sigma(y) / (4 pi |x - y|) dA(y); Du and D2u by the kernel
     gradient -r/(4 pi |r|^3) and Hessian (3 rr^T - |r|^2 I)/(4 pi |r|^5),
-    r = x - y.  The quadrature is formed once; each chunk of points gets
-    one batched winding-number test, and a point inside raises ValueError.
+    r = x - y.  The quadrature is formed once.  The points of each chunk
+    that lie within the mesh's bounding sphere get one batched
+    winding-number test, and a point inside raises ValueError; a point
+    beyond that sphere cannot be inside and is not tested.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
@@ -373,12 +457,15 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     # per chunk: the three planes of r = x - y, then 1/|r|, sigma w/|r|^3,
     # sigma w/|r|^5 and one scratch plane, each (points, F*Q)
     planes = np.empty((7, min(chunk, P), n))
+    may_be_inside = _within_bounding_sphere(sol.mesh, X)
     for start in range(0, P, chunk):
         x = X[start:start + chunk]
-        inside = winding_number(sol.mesh, x) > 0.5
-        if inside.any():
-            raise ValueError(f"evaluation point {x[np.argmax(inside)].tolist()} "
-                             "lies inside the surface")
+        tested = x[may_be_inside[start:start + chunk]]
+        if len(tested):
+            inside = winding_number(sol.mesh, tested) > 0.5
+            if inside.any():
+                raise ValueError(f"evaluation point {tested[np.argmax(inside)].tolist()} "
+                                 "lies inside the surface")
         m = len(x)
         diff, (inv_r, w3, w5, t) = planes[:3, :m], planes[3:, :m]
         for k in range(3):
@@ -440,7 +527,7 @@ def capacity_three_ways(sol: EquilibriumSolution, far_radius: float
             f"far_radius {far_radius} below 10x mesh diameter {sol.mesh.diameter}"
         )
     cap_charge = float(sol.sigma @ sol.mesh.areas)
-    center = np.einsum("f,fd->d", sol.mesh.areas, sol.mesh.centroids) / sol.mesh.total_area
+    center = sol.mesh.center
     dirs, _ = _unit_icosphere(2)
     X = center + far_radius * dirs
     u, _, _ = eval_fields(sol, X)

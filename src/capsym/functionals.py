@@ -173,8 +173,7 @@ def sample_exterior_points(mesh: TriMesh, count: int, seed: int,
                            radius_factors: tuple[float, float] = (1.6, 3.0)) -> np.ndarray:
     """Seeded sample of points on shells around the mesh's bounding sphere."""
     rng = np.random.default_rng(seed)
-    center = np.einsum("f,fd->d", mesh.areas, mesh.centroids) / mesh.total_area
-    r0 = float(np.max(np.linalg.norm(mesh.vertices - center, axis=1)))
+    center, r0 = mesh.center, mesh.bounding_radius
     dirs = rng.normal(size=(count, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = rng.uniform(radius_factors[0], radius_factors[1], size=count)

@@ -102,6 +102,17 @@ class TriMesh:
         )
 
     @cached_property
+    def center(self) -> np.ndarray:
+        """Area-weighted centroid of the panels."""
+        return np.einsum("f,fd->d", self.areas, self.centroids) / self.total_area
+
+    @cached_property
+    def bounding_radius(self) -> float:
+        """Largest distance from `center` to a vertex: the whole surface,
+        and every point it encloses, lies within this sphere."""
+        return float(np.max(np.linalg.norm(self.vertices - self.center, axis=1)))
+
+    @cached_property
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
@@ -147,22 +158,20 @@ class ValidationReport:
 def validate(mesh: TriMesh) -> ValidationReport:
     """Check closedness, orientation consistency, Euler characteristic and
     triangle quality.  Report-only: never raises on a defective mesh."""
-    directed = {}
-    for f, (i, j, k) in enumerate(mesh.triangles):
-        for a, b in ((i, j), (j, k), (k, i)):
-            directed[(int(a), int(b))] = directed.get((int(a), int(b)), 0) + 1
+    # directed edges (i, j), (j, k), (k, i) of every triangle, keyed a*V + b
+    V = mesh.num_vertices
+    a = mesh.triangles.reshape(-1)
+    b = mesh.triangles[:, [1, 2, 0]].reshape(-1)
+    _, directed_counts = np.unique(a * V + b, return_counts=True)
+    undirected, undirected_counts = np.unique(
+        np.minimum(a, b) * V + np.maximum(a, b), return_counts=True)
 
-    undirected = {}
-    for (a, b), c in directed.items():
-        key = (a, b) if a < b else (b, a)
-        undirected[key] = undirected.get(key, 0) + c
-
-    open_edges = sorted(e for e, c in undirected.items() if c != 2)
+    # ascending keys are the (low, high) pairs in sorted order
+    open_edges = [(int(k // V), int(k % V)) for k in undirected[undirected_counts != 2]]
     closed = not open_edges
     # consistent orientation: every directed edge appears exactly once
-    oriented = all(c == 1 for c in directed.values()) and closed
+    oriented = bool(np.all(directed_counts == 1)) and closed
 
-    V = mesh.num_vertices
     E = len(undirected)
     F = mesh.num_panels
     euler = V - E + F

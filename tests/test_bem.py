@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -440,3 +445,138 @@ class TestCacheSizedKernels:
         assert peaks[512] < 16 * 2**20
         # beyond the 13 output doubles per point, nothing grows with the count
         assert peaks[512] - peaks[32] < 2 * 480 * 13 * 8
+
+
+# ---------------------------------------------------------------------------
+# far-field lanes and the bounding-sphere gate of the inside test
+
+
+@pytest.fixture
+def three_lanes(monkeypatch):
+    """Three usable cores, so up to three lanes, on a lane executor of its
+    own (two workers), shut down afterwards."""
+    monkeypatch.setattr(bem, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(bem, "_lane_pool", None)
+    yield
+    if bem._lane_pool is not None:
+        bem._lane_pool.shutdown()
+
+
+class TestLanes:
+    @pytest.mark.parametrize("sample", ["all", "residual"])
+    def test_rows_equal_at_one_and_three_lanes(self, sample, three_lanes, monkeypatch):
+        mesh = _moved_scaled_spheroid()
+        F = mesh.num_panels
+        rows = {"all": np.arange(F),
+                # the residual check's row sample
+                "residual": np.sort(np.random.default_rng(0).choice(F, 200, replace=False))}[sample]
+        # one or two panels a chunk: hundreds of chunks, none on a lane alone
+        monkeypatch.setattr(bem, "_CHUNK", 6 * 400)
+        runs = {}
+        for cores in (1, 3):
+            monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
+            out = np.empty((len(rows), F), order="F")
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                lanes = bem._far_entries(out, mesh, rows, 6)
+                R = bem._single_layer_rows(mesh, rows, 6)
+                M = bem.assemble_single_layer(mesh, 6) if sample == "all" else R
+            finally:
+                sys.setswitchinterval(switch)
+            assert lanes == cores
+            runs[cores] = R, M
+        assert np.array_equal(runs[1][0], runs[3][0])
+        assert np.array_equal(runs[1][1], runs[3][1])
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_lane_error_raised_after_every_lane_finished(self, failing, three_lanes):
+        done = []
+
+        def body(lane, start):
+            if lane == failing:
+                raise RuntimeError(f"lane {lane} failed")
+            # lane 2 is the slowest, so it is still running when the
+            # calling thread's lane 0 ends
+            time.sleep(0.05 if lane == 2 else 0.0)
+            done.append(start)
+
+        with pytest.raises(RuntimeError, match=f"lane {failing} failed"):
+            bem._each_chunk(body, range(9), 3)
+        others = [s for s in range(9) if s % 3 != failing]
+        assert sorted(done) == others
+
+    def test_forked_child_runs_its_own_lanes(self):
+        # the child inherits the parent's executor but not its threads
+        src = os.path.dirname(os.path.dirname(bem.__file__))
+        code = """if 1:
+            import os, signal, warnings
+            import numpy as np
+            from capsym import bem, geometry as geo
+            warnings.simplefilter("ignore", DeprecationWarning)
+            bem._usable_cores = lambda: 2
+            mesh = geo.make_sphere_mesh(1.0, 2)
+            rows = np.arange(mesh.num_panels)
+            M = bem._single_layer_rows(mesh, rows, 6)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)  # a hung child ends itself
+                os._exit(0 if np.array_equal(bem._single_layer_rows(mesh, rows, 6), M) else 1)
+            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "0"
+
+    def test_import_starts_no_thread(self):
+        src = os.path.dirname(os.path.dirname(bem.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import threading, capsym.cli; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "1"
+
+
+@pytest.fixture(scope="module")
+def spheroid2_sol():
+    return bem.solve_equilibrium(geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2), 6)
+
+
+@pytest.fixture
+def winding_calls(monkeypatch):
+    """Points passed to each winding_number call eval_fields makes."""
+    calls = []
+    real = bem.winding_number
+
+    def counting(mesh, x):
+        calls.append(np.array(x))
+        return real(mesh, x)
+
+    monkeypatch.setattr(bem, "winding_number", counting)
+    return calls
+
+
+class TestInsideGate:
+    def test_sample_points_skip_inside_test(self, level2_sol, winding_calls):
+        X = fn.sample_exterior_points(level2_sol.mesh, 300, 4)
+        bem.eval_fields(level2_sol, X)
+        assert winding_calls == []
+
+    def test_point_within_bounding_sphere_is_tested(self, spheroid2_sol, winding_calls):
+        mesh = spheroid2_sol.mesh
+        x = np.array([0.0, 1.2, 0.0])
+        # outside the 2:1:1 spheroid, inside its bounding sphere of radius 2
+        assert np.linalg.norm(x - mesh.center) <= mesh.bounding_radius
+        X = np.vstack([fn.sample_exterior_points(mesh, 5, 1), x])
+        u, Du, D2u = bem.eval_fields(spheroid2_sol, X)
+        assert len(winding_calls) == 1 and np.array_equal(winding_calls[0], x[None])
+        u0, Du0, D2u0 = _frozen_fields(spheroid2_sol, x)
+        assert abs(u[-1] - u0) <= 1e-13 * abs(u0)
+        assert np.abs(Du[-1] - Du0).max() <= 1e-13 * np.abs(Du0).max()
+        assert np.abs(D2u[-1] - D2u0).max() <= 1e-13 * np.abs(D2u0).max()
+
+    def test_interior_point_message(self, spheroid2_sol):
+        X = np.array([[5.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
+        msg = "evaluation point [0.1, 0.0, 0.0] lies inside the surface"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            bem.eval_fields(spheroid2_sol, X)

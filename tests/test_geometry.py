@@ -84,6 +84,96 @@ class TestValidation:
         assert not rep.outward
 
 
+def _frozen_validate(mesh):
+    # validate as it was before its edge counts were vectorized: one dict
+    # entry per directed edge, filled triangle by triangle
+    directed = {}
+    for i, j, k in mesh.triangles:
+        for a, b in ((i, j), (j, k), (k, i)):
+            directed[(int(a), int(b))] = directed.get((int(a), int(b)), 0) + 1
+    undirected = {}
+    for (a, b), c in directed.items():
+        key = (a, b) if a < b else (b, a)
+        undirected[key] = undirected.get(key, 0) + c
+    open_edges = sorted(e for e, c in undirected.items() if c != 2)
+    closed = not open_edges
+    oriented = all(c == 1 for c in directed.values()) and closed
+    euler = mesh.num_vertices - len(undirected) + mesh.num_panels
+    areas = mesh.areas
+    min_area = float(areas.min())
+    qual = 4.0 * math.sqrt(3.0) * areas / (mesh.edge_lengths**2).sum(axis=1)
+    min_quality = float(np.min(qual))
+    outward = False
+    if min_area > 0:
+        flux = float(np.einsum("ij,ij,i->", mesh.centroids, mesh._cross / 2.0,
+                               np.ones(mesh.num_panels)))
+        outward = flux > 0
+    issues = []
+    if not closed:
+        issues.append(f"open edges: {open_edges[:10]}")
+    if not oriented:
+        issues.append("inconsistent triangle orientation")
+    if euler != 2:
+        issues.append(f"Euler characteristic {euler} != 2")
+    if min_area <= 0:
+        issues.append("degenerate triangle with zero area")
+    if closed and oriented and min_area > 0 and not outward:
+        issues.append("normals point inward (negative position flux)")
+    return geo.ValidationReport(closed, oriented, euler, outward, min_area,
+                                min_quality, open_edges, issues)
+
+
+def _defective(kind):
+    m = geo.make_sphere_mesh(1.0, 2)
+    v, t = m.vertices.copy(), m.triangles.copy()
+    if kind == "hole":
+        t = t[1:]
+    elif kind == "holes":  # more open edges than the message lists
+        t = np.delete(t, np.arange(0, len(t), 40), axis=0)
+    elif kind == "flipped":
+        t[0] = t[0][::-1]
+    elif kind == "duplicated":
+        t = np.vstack([t, t[5]])
+    elif kind == "non-manifold":
+        # a fin on the edge (t[0][0], t[0][1]), shared by three triangles
+        a, b = t[0][0], t[0][1]
+        v = np.vstack([v, 2.0 * (v[a] + v[b])])
+        t = np.vstack([t, [[b, a, len(v) - 1]]])
+    return geo.TriMesh(v, t)
+
+
+class TestVectorizedValidation:
+    @pytest.mark.parametrize("kind", ["hole", "holes", "flipped", "duplicated", "non-manifold"])
+    def test_defective_matches_frozen(self, kind):
+        mesh = _defective(kind)
+        rep = geo.validate(mesh)
+        assert not rep.ok
+        assert rep == _frozen_validate(mesh)
+        assert all(type(k) is int for e in rep.open_edges for k in e)
+
+    @pytest.mark.parametrize("mesh", [
+        geo.make_sphere_mesh(1.0, 0),
+        geo.make_sphere_mesh(2.0, 3),
+        geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2),
+        geo.make_bumpy_sphere_mesh(1.0, 2),
+        geo.make_sphere_mesh(1.0, 2).transformed(translation=[3.0, -1.0, 0.5]),
+    ])
+    def test_valid_matches_frozen(self, mesh):
+        rep = geo.validate(mesh)
+        assert rep.ok
+        assert rep == _frozen_validate(mesh)
+
+
+class TestBoundingSphere:
+    def test_formula_and_containment(self):
+        m = geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2).transformed(translation=[0.3, -1.2, 0.7])
+        center = np.einsum("f,fd->d", m.areas, m.centroids) / m.total_area
+        assert np.array_equal(m.center, center)
+        assert m.bounding_radius == float(np.max(np.linalg.norm(m.vertices - center, axis=1)))
+        assert np.allclose(m.center, [0.3, -1.2, 0.7], atol=1e-12)
+        assert m.bounding_radius == pytest.approx(2.0, rel=1e-12)
+
+
 class TestClosureIdentities:
     def test_gauss_closure(self, sphere3):
         total = np.einsum("f,fd->d", sphere3.areas, sphere3.normals)
