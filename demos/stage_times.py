@@ -4,10 +4,10 @@
 # self-integral parts of the assembly, the 1-norm, LU, condition estimate,
 # back substitution and the residual rows) and one `bem.eval_fields` call on
 # the sample points `verify` would scan, with `time.perf_counter`.  It also
-# prints the number of lanes the far field ran on (one per usable core) and
-# how many evaluation points lay within the mesh's bounding sphere and so
-# needed the winding-number inside test; the last line is the process's
-# peak RSS from `resource`.
+# prints the number of lanes the assembly's far field ran on (one per usable
+# core, as far as its scratch budget allows) and how many evaluation points
+# lay within the mesh's bounding sphere and so needed the winding-number
+# inside test; the last line is the process's peak RSS from `resource`.
 #
 #     python demos/stage_times.py LEVEL [--spheroid] [--samples N] [--seed S]
 #
@@ -51,7 +51,8 @@ def main() -> None:
     # assemble_single_layer, one part at a time
     rows = np.arange(F)
     M = np.empty((F, F), order="F")
-    lanes = stage("far", bem._far_entries, M, mesh, rows, order)
+    stage("far", bem._far_entries, M, mesh, rows, order)
+    lanes, _ = bem._far_grid(F * len(bem.triangle_rule(order)[1]), F)
     stage("near", bem._near_entries, M, mesh, rows, order)
     stage("diagonal", bem._self_entries, M, mesh, rows)
     times["assembly"] = times["far"] + times["near"] + times["diagonal"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,8 @@ FOUR_PI = 4.0 * math.pi
 # element budget of one kernel temporary.  The kernel loops keep the three
 # coordinates in separate contiguous planes and cut their work into chunks
 # whose planes hold at most _CHUNK doubles (1 MB): two (panels*Q, rows)
-# planes in the far field, seven (points, F*Q) planes in eval_fields.
+# planes in the far field, shared among its lanes, seven (points, F*Q)
+# planes in eval_fields.
 # Every numpy pass over them then runs in cache, where a (rows, F*Q, 3)
 # difference block would stream through DRAM once per pass.  The
 # near-field pairs, the 1-norm's column blocks and the winding-number test
@@ -55,51 +56,33 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# the lanes beyond the calling thread's, created on first use so that
-# importing the package starts no thread; a forked child, which inherits
-# the executor but not its threads (and the lock perhaps held), makes its own
-_lane_pool: ThreadPoolExecutor | None = None
-_lane_pool_lock = threading.Lock()
-
-
-def _forget_lane_pool() -> None:
-    global _lane_pool, _lane_pool_lock
-    _lane_pool, _lane_pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane_pool)
-
-
-def _lane_executor() -> ThreadPoolExecutor:
-    global _lane_pool
-    with _lane_pool_lock:
-        if _lane_pool is None:
-            _lane_pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
-                                            thread_name_prefix="capsym-lane")
-        return _lane_pool
-
-
 def _each_chunk(body, starts, lanes: int) -> None:
-    """Call body(lane, start) for every chunk start; lane w takes
-    starts[w::lanes], lane 0 on the calling thread and the others on the
-    lane executor.  The numpy passes inside body release the GIL, so the
-    lanes overlap.  Returns, or raises a lane's exception, only once every
-    lane has finished, so no lane still writes into the caller's buffers.
+    """Call body(lane, start) for every chunk start on `lanes` lanes, each
+    taking the next start from one shared iterator, so a lane whose core is
+    busy elsewhere does less of the work.  Lane 0 runs on the calling
+    thread, the others on a pool made for this call; the numpy passes
+    inside body release the GIL, so the lanes overlap.  Returns, or raises
+    a lane's exception, only once every lane has finished, so no lane
+    still writes into the caller's buffers.
     """
+    todo = iter(starts)
+    lock = threading.Lock()
+
     def run(lane):
-        for start in starts[lane::lanes]:
+        while True:
+            with lock:
+                start = next(todo, None)
+            if start is None:
+                return
             body(lane, start)
 
     if lanes == 1:
         run(0)
         return
-    pool = _lane_executor()
-    others = [pool.submit(run, lane) for lane in range(1, lanes)]
-    try:
+    # leaving the block waits for every lane, also when run(0) raises
+    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="capsym-lane") as pool:
+        others = [pool.submit(run, lane) for lane in range(1, lanes)]
         run(0)
-    finally:
-        wait(others)
     for f in others:
         f.result()
 
@@ -234,9 +217,22 @@ def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
     return out
 
 
-def _far_entries(out, mesh: TriMesh, rows, order: int) -> int:
-    """Every entry of `out` by the plain panel rule; returns the number of
-    lanes it ran on.
+def _far_grid(width: int, panels: int) -> tuple[int, int]:
+    """Lanes and panels per chunk of a far field whose panels each take
+    `width` elements of a plane (rows times quadrature points).
+
+    One lane per usable core, but no more lanes than chunks, and all lanes'
+    scratch together within the one-lane budget: every lane's planes hold
+    at least one panel and together at most _CHUNK elements, whatever the
+    number of cores.
+    """
+    lanes = max(1, min(_usable_cores(), _CHUNK // width))
+    cols = _chunk_len(width * lanes)
+    return min(lanes, -(-panels // cols)), cols
+
+
+def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
+    """Every entry of `out` by the plain panel rule.
 
     Column chunk by column chunk, so that each chunk lands in a contiguous
     block of the Fortran-ordered `out`: the squared distances from the
@@ -247,18 +243,18 @@ def _far_entries(out, mesh: TriMesh, rows, order: int) -> int:
     |c|^2 + |y|^2 - 2 c.y, whose cancellation would cost digits next to
     the panels.
 
-    The chunks are spread over one lane per usable core.  The chunk grid
-    and each chunk's arithmetic do not depend on the lanes, so neither
-    does any entry.  Each lane gets its own scratch planes, allocated here:
+    The chunks are spread over the lanes of `_far_grid`, which narrows
+    them as lanes are added.  Each entry is one panel's sum over its own
+    quadrature points for one row, the same arithmetic whatever the chunk
+    width or the lane that computes it, so no entry depends on the number
+    of cores.  Each lane gets its own scratch planes, allocated here:
     blocks that worker threads allocate and free stay in glibc's
     per-thread arenas and raise the peak RSS.
     """
     pts, wts = panel_quadrature(mesh, order)
     F, Q = wts.shape
     C = np.ascontiguousarray(mesh.centroids[rows].T)
-    cols = _chunk_len(len(rows) * Q)
-    starts = range(0, F, cols)
-    lanes = min(_usable_cores(), len(starts))
+    lanes, cols = _far_grid(len(rows) * Q, F)
     planes = np.empty((lanes, 2, min(cols, F) * Q, len(rows)))
     sums = np.empty((lanes, min(cols, F), len(rows)))
 
@@ -278,8 +274,7 @@ def _far_entries(out, mesh: TriMesh, rows, order: int) -> int:
         s = d.reshape(m, Q, -1).sum(axis=1, out=sums[lane, :m])
         np.divide(s.T, FOUR_PI, out=out[:, start:start + m])
 
-    _each_chunk(chunk, starts, lanes)
-    return lanes
+    _each_chunk(chunk, range(0, F, cols), lanes)
 
 
 def _near_entries(out, mesh: TriMesh, rows, order: int) -> None:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -451,49 +452,42 @@ class TestCacheSizedKernels:
 # far-field lanes and the bounding-sphere gate of the inside test
 
 
-@pytest.fixture
-def three_lanes(monkeypatch):
-    """Three usable cores, so up to three lanes, on a lane executor of its
-    own (two workers), shut down afterwards."""
-    monkeypatch.setattr(bem, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(bem, "_lane_pool", None)
-    yield
-    if bem._lane_pool is not None:
-        bem._lane_pool.shutdown()
-
-
 class TestLanes:
     @pytest.mark.parametrize("sample", ["all", "residual"])
-    def test_rows_equal_at_one_and_three_lanes(self, sample, three_lanes, monkeypatch):
+    def test_rows_equal_at_one_and_three_lanes(self, sample, monkeypatch):
         mesh = _moved_scaled_spheroid()
         F = mesh.num_panels
         rows = {"all": np.arange(F),
                 # the residual check's row sample
                 "residual": np.sort(np.random.default_rng(0).choice(F, 200, replace=False))}[sample]
-        # one or two panels a chunk: hundreds of chunks, none on a lane alone
-        monkeypatch.setattr(bem, "_CHUNK", 6 * 400)
+        # three lanes of one panel a chunk, one lane of three or four:
+        # hundreds of chunks on another grid at each lane count
+        monkeypatch.setattr(bem, "_CHUNK", 6 * 3 * F)
         runs = {}
         for cores in (1, 3):
             monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
-            out = np.empty((len(rows), F), order="F")
+            assert bem._far_grid(len(rows) * 6, F)[0] == cores
             switch = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
-                lanes = bem._far_entries(out, mesh, rows, 6)
                 R = bem._single_layer_rows(mesh, rows, 6)
                 M = bem.assemble_single_layer(mesh, 6) if sample == "all" else R
             finally:
                 sys.setswitchinterval(switch)
-            assert lanes == cores
             runs[cores] = R, M
         assert np.array_equal(runs[1][0], runs[3][0])
         assert np.array_equal(runs[1][1], runs[3][1])
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_lane_error_raised_after_every_lane_finished(self, failing, three_lanes):
+    def test_lane_error_raised_after_every_lane_finished(self, failing):
+        threads = threading.active_count()
+        started = [threading.Event() for _ in range(3)]
         done = []
 
         def body(lane, start):
+            # every lane takes a chunk before any chunk ends
+            started[lane].set()
+            assert all(e.wait(30) for e in started)
             if lane == failing:
                 raise RuntimeError(f"lane {lane} failed")
             # lane 2 is the slowest, so it is still running when the
@@ -503,30 +497,32 @@ class TestLanes:
 
         with pytest.raises(RuntimeError, match=f"lane {failing} failed"):
             bem._each_chunk(body, range(9), 3)
-        others = [s for s in range(9) if s % 3 != failing]
-        assert sorted(done) == others
+        # the other lanes took every other chunk and ended, their threads too
+        assert len(done) == 8 and len(set(done)) == 8
+        assert threading.active_count() == threads
 
-    def test_forked_child_runs_its_own_lanes(self):
-        # the child inherits the parent's executor but not its threads
-        src = os.path.dirname(os.path.dirname(bem.__file__))
-        code = """if 1:
-            import os, signal, warnings
-            import numpy as np
-            from capsym import bem, geometry as geo
-            warnings.simplefilter("ignore", DeprecationWarning)
-            bem._usable_cores = lambda: 2
-            mesh = geo.make_sphere_mesh(1.0, 2)
-            rows = np.arange(mesh.num_panels)
-            M = bem._single_layer_rows(mesh, rows, 6)
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(30)  # a hung child ends itself
-                os._exit(0 if np.array_equal(bem._single_layer_rows(mesh, rows, 6), M) else 1)
-            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-        """
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "0"
+    @pytest.mark.parametrize("cores", [8, 16])
+    def test_assembly_peak_below_twice_the_matrix_on_many_cores(self, cores, monkeypatch):
+        monkeypatch.setattr(bem, "_usable_cores", lambda: cores)
+        mesh = geo.make_sphere_mesh(1.0, 3)
+        assert bem._far_grid(mesh.num_panels * 6, mesh.num_panels)[0] == cores
+        tracemalloc.start()
+        try:
+            M = bem.assemble_single_layer(mesh, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * M.nbytes
+
+    @pytest.mark.parametrize("width", [1, 6, 1200, 7680, 30720, 2**17, 2**17 + 6])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8, 64])
+    def test_far_scratch_within_one_budget(self, cores, width, monkeypatch):
+        monkeypatch.setattr(bem, "_usable_cores", lambda: cores)
+        panels = 5120
+        lanes, cols = bem._far_grid(width, panels)
+        assert 1 <= lanes <= cores and lanes <= -(-panels // cols)
+        # all lanes' planes within the budget, unless one panel exceeds it
+        assert lanes * cols * width <= max(bem._CHUNK, width)
 
     def test_import_starts_no_thread(self):
         src = os.path.dirname(os.path.dirname(bem.__file__))
