@@ -413,17 +413,6 @@ def winding_number(mesh: TriMesh, x):
     return float(w) if np.ndim(w) == 0 else w
 
 
-def evaluation_distance_ratio(sol: EquilibriumSolution, x) -> float:
-    """min distance to a panel centroid over that panel's diameter.
-
-    Below ~1 the quadrature-based evaluations degrade; callers may warn.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.linalg.norm(sol.mesh.centroids - x, axis=1)
-    k = int(np.argmin(d))
-    return float(d[k] / sol.mesh.edge_lengths[k].max())
-
-
 def _within_bounding_sphere(mesh: TriMesh, X) -> np.ndarray:
     """Mask of the points X (P, 3) that lie within the mesh's bounding
     sphere, the only ones that can be inside the surface."""

@@ -169,14 +169,19 @@ def pbv_residual(v: float, Dv, D2v, n: int) -> float:
 # Newton scan over exterior points
 
 
-def sample_exterior_points(mesh: TriMesh, count: int, seed: int,
-                           radius_factors: tuple[float, float] = (1.6, 3.0)) -> np.ndarray:
+# Radii of the sample shells about the mesh's centre, in multiples of its
+# bounding radius.  Every sample lies outside the bounding sphere, so
+# `bem.eval_fields` runs no inside test on them.
+SAMPLE_RADIUS_FACTORS = (1.6, 3.0)
+
+
+def sample_exterior_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
     """Seeded sample of points on shells around the mesh's bounding sphere."""
     rng = np.random.default_rng(seed)
     center, r0 = mesh.center, mesh.bounding_radius
     dirs = rng.normal(size=(count, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = rng.uniform(radius_factors[0], radius_factors[1], size=count)
+    radii = rng.uniform(*SAMPLE_RADIUS_FACTORS, size=count)
     return center + (r0 * radii)[:, None] * dirs
 
 

@@ -309,11 +309,15 @@ def make_ellipsoid_mesh(a: float, b: float, c: float, level: int) -> TriMesh:
     return TriMesh(verts, faces, exact_vertex_H=exact)
 
 
-def make_bumpy_sphere_mesh(R: float, level: int, amplitude: float = 0.05) -> TriMesh:
-    """Sphere with a smooth radial perturbation r = R (1 + amplitude * g).
+# relative amplitude of the radial bump of `make_bumpy_sphere_mesh`
+BUMP_AMPLITUDE = 0.05
+
+
+def make_bumpy_sphere_mesh(R: float, level: int) -> TriMesh:
+    """Sphere with a smooth radial perturbation r = R (1 + BUMP_AMPLITUDE * g).
 
     g is the degree-3 harmonic x y z / |x|^3 scaled to [-1, 1], so the
-    surface is smooth, genus 0 and mildly nonconvex at amplitude 0.05.
+    surface is smooth, genus 0 and mildly nonconvex.
     No exact curvature is attached; consumers fall back to the discrete
     estimate.
     """
@@ -321,7 +325,7 @@ def make_bumpy_sphere_mesh(R: float, level: int, amplitude: float = 0.05) -> Tri
         raise MeshError(f"radius must be positive, got {R}")
     verts, faces = _unit_icosphere(level)
     g = 3.0 * math.sqrt(3.0) * verts[:, 0] * verts[:, 1] * verts[:, 2]
-    r = R * (1.0 + amplitude * g)
+    r = R * (1.0 + BUMP_AMPLITUDE * g)
     return TriMesh(verts * r[:, None], faces)
 
 
@@ -341,6 +345,16 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
     return vn / norms[:, None]
 
 
+def _corner_cotangents(p: np.ndarray, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dots, cot) of each corner k of the triangles p (F, 3, 3):
+    dot_k = (p_i - p_k).(p_j - p_k) and cot(theta_k) = dot_k / (2 area)."""
+    dots = np.empty(p.shape[:2])
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        dots[:, k] = ((p[:, i] - p[:, k]) * (p[:, j] - p[:, k])).sum(axis=1)
+    return dots, dots / (2.0 * areas[:, None])
+
+
 def mixed_voronoi_areas(mesh: TriMesh) -> np.ndarray:
     """Per-vertex mixed Voronoi areas (with the obtuse-triangle correction)."""
     tri = mesh.triangles
@@ -351,15 +365,7 @@ def mixed_voronoi_areas(mesh: TriMesh) -> np.ndarray:
     # edge vectors opposite each vertex corner
     e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
     l2 = (e**2).sum(axis=2)  # (F, 3) squared edge lengths, edge k opposite vertex k
-
-    # cot of angle at corner k: (l_i^2 + l_j^2 - l_k^2) / (8 area)  *? ---
-    # cot(theta_k) = dot / (2 area) with dot = (p_i-p_k).(p_j-p_k)
-    dots = np.empty_like(l2)
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        dots[:, k] = ((p[:, i] - p[:, k]) * (p[:, j] - p[:, k])).sum(axis=1)
-    cot = dots / (2.0 * areas[:, None])
-
+    dots, cot = _corner_cotangents(p, areas)
     obtuse_corner = np.argmin(dots, axis=1)
     any_obtuse = dots.min(axis=1) < 0
 
@@ -385,14 +391,7 @@ def mean_curvature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """
     require_valid(mesh)
     tri = mesh.triangles
-    p = mesh.vertices[tri]
-    areas = mesh.areas
-
-    dots = np.empty((mesh.num_panels, 3))
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        dots[:, k] = ((p[:, i] - p[:, k]) * (p[:, j] - p[:, k])).sum(axis=1)
-    cot = dots / (2.0 * areas[:, None])
+    _, cot = _corner_cotangents(mesh.vertices[tri], mesh.areas)
 
     K = np.zeros_like(mesh.vertices)
     # edge (i, j) inside each triangle gets weight cot(angle at k)

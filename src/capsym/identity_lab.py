@@ -28,8 +28,9 @@ class TestFunction:
     """Smooth scalar field with closed-form derivatives up to order two.
 
     `positive` must hold wherever the function is used with fractional
-    powers.  Registration runs a finite-difference self-consistency gate
-    so a typo in a hand-derived gradient or Hessian fails fast.
+    powers.  `check_consistency` compares the hand-derived gradient and
+    Hessian with central differences of the value; `run_suite` calls it at
+    the first point of each dimension, so a typo there fails fast.
     """
 
     name: str
@@ -325,57 +326,34 @@ def boundary_limit_constant(n: int, capacity: float) -> float:
     return 2.0 * (n - 2) * omega * (capacity / ((n - 2) * omega)) ** ((n - 4) / (n - 2))
 
 
-def _flux_integrand(fields_at: Callable, gamma: float, x: np.ndarray, nu: np.ndarray) -> float:
-    v, Dv, D2v = fields_at(x)
-    F = v**gamma * (symfun.s2_tensor(D2v) @ Dv)
-    F = F + 0.5 * gamma * v ** (gamma - 1) * float(Dv @ Dv) * Dv
-    return float(F @ nu)
+def sphere_flux(n: int, R: float, gamma: float) -> float:
+    """Flux of F = v^g S^2_ij v_i + (g/2) v^(g-1)|Dv|^2 v_j through the sphere
+    of radius R about the origin, for the unit-ball oracle v = |x|^2.
 
-
-def sphere_flux(n: int, R: float, gamma: float, fields_at: Callable,
-                quad_level: int = 4) -> float:
-    """Flux of v^g S^2_ij v_i + (g/2) v^(g-1)|Dv|^2 v_j through the sphere
-    of radius R about the origin.
-
-    n = 3 uses icosahedral surface quadrature (panel centroids of a
-    subdivided icosphere); for n > 3 the integrand of a radial field is
-    constant on the sphere, so one sample times omega_n R^(n-1) is exact.
+    v is radial, so F(x) = phi(|x|) x and the integrand F.nu = phi(R) R is
+    the same at every point of the centred sphere.  One sample at R e_1
+    times the area omega_n R^(n-1) is therefore the exact flux in every
+    dimension, up to the rounding of that one sample.
     """
     if R <= 0:
         raise ValueError(f"sphere radius must be positive, got {R}")
-    if n == 3:
-        from .geometry import make_sphere_mesh
-
-        mesh = make_sphere_mesh(1.0, quad_level)
-        nodes = mesh.centroids
-        nodes = nodes / np.linalg.norm(nodes, axis=1)[:, None]
-        # rescale panel areas so the rule integrates constants exactly
-        w = mesh.areas * (unit_sphere_area(3) / mesh.total_area) * R**2
-        total = 0.0
-        for node, wk in zip(nodes, w):
-            total += wk * _flux_integrand(fields_at, gamma, R * node, node)
-        return total
-    e1 = np.zeros(n)
-    e1[0] = R
-    return unit_sphere_area(n) * R ** (n - 1) * _flux_integrand(fields_at, gamma, e1, e1 / R)
+    x = np.zeros(n)
+    x[0] = R
+    v, Dv, D2v = radial_v_fields(n, 1.0, x)
+    F = v**gamma * (symfun.s2_tensor(D2v) @ Dv)
+    F = F + 0.5 * gamma * v ** (gamma - 1) * float(Dv @ Dv) * Dv
+    return unit_sphere_area(n) * R ** (n - 1) * float(F[0])
 
 
-def check_boundary_limits(n: int, R_list, gamma: float, ball_R: float = 1.0,
-                          fields_at: Callable | None = None,
-                          quad_level: int = 4) -> list[tuple[float, float]]:
-    """Table of (R, flux) for increasing far radii.
-
-    Defaults to the radial ball oracle fields; with the exponent 1-n the
-    fluxes vanish, with -n/2 they approach the capacity-weighted constant.
-    """
-    if fields_at is None:
-        def fields_at(x, n=n, ball_R=ball_R):
-            return radial_v_fields(n, ball_R, x)
+def check_boundary_limits(n: int, R_list, gamma: float) -> list[tuple[float, float]]:
+    """Table of (R, flux) for increasing far radii, on the unit-ball oracle
+    fields: with the exponent 1-n the fluxes vanish, with -n/2 they approach
+    the capacity-weighted constant."""
     rows = []
     for R in R_list:
-        if R < ball_R:
-            raise ValueError(f"far radius {R} is inside the domain of radius {ball_R}")
-        rows.append((float(R), sphere_flux(n, float(R), gamma, fields_at, quad_level)))
+        if R < 1.0:
+            raise ValueError(f"far radius {R} is inside the domain of radius 1.0")
+        rows.append((float(R), sphere_flux(n, float(R), gamma)))
     return rows
 
 

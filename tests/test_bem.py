@@ -237,11 +237,6 @@ class TestEvaluation:
         assert bem.winding_number(m, [0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-10)
         assert bem.winding_number(m, [3.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
 
-    def test_distance_ratio_flag(self, sphere2_sol):
-        near = bem.evaluation_distance_ratio(sphere2_sol, [1.05, 0.0, 0.0])
-        far = bem.evaluation_distance_ratio(sphere2_sol, [10.0, 0.0, 0.0])
-        assert near < 1.0 < far
-
 
 class TestBoundaryGradient:
     def test_sphere_values(self, sphere3_sol):

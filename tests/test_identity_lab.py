@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from capsym import identity_lab as lab, oracles
+from capsym import geometry, identity_lab as lab, oracles, symfun
 
 
 def _rng_points(n, count, seed=0):
@@ -231,6 +231,61 @@ class TestBoundaryLimits:
     def test_interior_radius_rejected(self):
         with pytest.raises(ValueError, match="inside"):
             lab.check_boundary_limits(3, [0.5], -2.0)
+
+
+def _flux_terms(gamma, x):
+    """The two summands of the flux field F on the unit-ball oracle."""
+    v, Dv, D2v = oracles.radial_v_fields(len(x), 1.0, x)
+    return (v**gamma * (symfun.s2_tensor(D2v) @ Dv),
+            0.5 * gamma * v ** (gamma - 1) * float(Dv @ Dv) * Dv)
+
+
+def _flux_integrand(gamma, x, nu):
+    a, b = _flux_terms(gamma, x)
+    return float((a + b) @ nu)
+
+
+def _icosphere_flux_n3(R, gamma):
+    """The earlier n = 3 flux, frozen: the integrand summed over the 5,120
+    panel centroids of a level-4 icosphere, projected onto the sphere, with
+    the panel areas rescaled so that constants integrate exactly."""
+    mesh = geometry.make_sphere_mesh(1.0, 4)
+    nodes = mesh.centroids / np.linalg.norm(mesh.centroids, axis=1)[:, None]
+    w = mesh.areas * (oracles.unit_sphere_area(3) / mesh.total_area) * R**2
+    return sum(wk * _flux_integrand(gamma, R * node, node) for node, wk in zip(nodes, w))
+
+
+class TestSphereFlux:
+    @pytest.mark.parametrize("R", [10.0, 100.0, 1000.0])
+    def test_matches_frozen_icosphere_quadrature(self, R):
+        g1, g2 = (float(g) for g in lab.gamma_roots(3))
+        assert abs(lab.sphere_flux(3, R, g1)) <= 1e-12
+        assert abs(_icosphere_flux_n3(R, g1)) <= 1e-12
+        ref = _icosphere_flux_n3(R, g2)
+        assert abs(lab.sphere_flux(3, R, g2) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_integrand_constant_on_centred_sphere(self, n):
+        # the fact the single-sample flux rests on: F.nu at any point of the
+        # sphere equals its value at R e_1.  Relative to the size of its
+        # summands, since at gamma = 1-n they cancel and the value is 0.
+        rng = np.random.default_rng(n)
+        gammas = [float(g) for g in lab.gamma_roots(n)] + [0.0, 1.0, -2.0]
+        for R in (1.0, 3.7, 250.0):
+            e1 = np.zeros(n)
+            e1[0] = 1.0
+            for gamma in gammas:
+                ref = _flux_integrand(gamma, R * e1, e1)
+                scale = sum(abs(float(t @ e1)) for t in _flux_terms(gamma, R * e1))
+                for _ in range(20):
+                    nu = rng.normal(size=n)
+                    nu /= np.linalg.norm(nu)
+                    got = _flux_integrand(gamma, R * nu, nu)
+                    assert abs(got - ref) <= 1e-13 * scale
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            lab.sphere_flux(3, 0.0, -2.0)
 
 
 def _div_free_cases(f, pts):
