@@ -1,9 +1,11 @@
 """Command-line entry point: capacity runs, theorem verification, the
 identity suite, convergence studies, and closed-form oracle queries.
 
-Exit codes: 0 success, 2 solver error or non-finite report value, 3 mesh
-validation failure, 4 unreadable input file, 5 unsupported oracle shape.
-The ball/not-ball verdict is data inside the report, never an exit code.
+Exit codes: 0 success, 1 an identity-check row failed, 2 solver error,
+non-finite report value or argument usage error, 3 mesh validation
+failure, 4 unreadable input or unwritable output file, 5 malformed or
+unsupported shape spec on any subcommand.  The ball/not-ball verdict is
+data inside the report, never an exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +23,18 @@ EXIT_MESH = 3
 EXIT_FILE = 4
 EXIT_SHAPE = 5
 
+# name -> (mesh builder (sizes..., L), number of sizes, closed-form n = 3
+# capacity or None); looked up at call time, so wrappers installed on
+# `geometry` and `oracles` see each call.
+SHAPES = {
+    "sphere": (lambda R, L: geometry.make_sphere_mesh(R, L), 1,
+               lambda R: oracles.ball_capacity(3, R)),
+    "ellipsoid": (lambda a, b, c, L: geometry.make_ellipsoid_mesh(a, b, c, L), 3,
+                  lambda a, b, c: oracles.ellipsoid_capacity(a, b, c)),
+    "bumpy": (lambda R, L: geometry.make_bumpy_sphere_mesh(R, L), 1, None),
+}
+SHAPE_HELP = "sphere R L | ellipsoid a b c L | bumpy R L"
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -28,26 +42,28 @@ class CliError(Exception):
         self.code = code
 
 
-def _build_shape(tokens: list[str]) -> tuple[geometry.TriMesh, int | None, dict]:
-    """Parse a shape spec: sphere R L | ellipsoid a b c L | bumpy R L."""
-    if not tokens:
-        raise CliError(EXIT_SHAPE, "empty shape spec")
-    name, *params = tokens
+def _parse_shape(tokens: list[str], need_level: bool) -> tuple[str, list[float], int | None]:
+    """(name, sizes, L) of a spec `name sizes... [L]` with positive sizes and a
+    level L >= 0, optional unless `need_level`; else CliError(EXIT_SHAPE)."""
+    name, *rest = tokens
+    if name not in SHAPES:
+        raise CliError(EXIT_SHAPE, f"unsupported shape: {name} (expected {SHAPE_HELP})")
+    arity = SHAPES[name][1]
     try:
-        vals = [float(p) for p in params]
+        sizes = [float(t) for t in rest[:arity]]
+        level = int(rest[arity]) if len(rest) > arity else None
+        ok = (len(rest) - arity in ((1,) if need_level else (0, 1))
+              and all(0 < s < math.inf for s in sizes) and (level is None or level >= 0))
     except ValueError:
-        raise CliError(EXIT_SHAPE, f"non-numeric shape parameter in {tokens}") from None
-    if name == "sphere" and len(vals) == 2:
-        R, level = vals[0], int(vals[1])
-        return geometry.make_sphere_mesh(R, level), level, {"shape": ["sphere", R, level]}
-    if name == "ellipsoid" and len(vals) == 4:
-        a, b, c, level = vals[0], vals[1], vals[2], int(vals[3])
-        return (geometry.make_ellipsoid_mesh(a, b, c, level), level,
-                {"shape": ["ellipsoid", a, b, c, level]})
-    if name == "bumpy" and len(vals) == 2:
-        R, level = vals[0], int(vals[1])
-        return geometry.make_bumpy_sphere_mesh(R, level), level, {"shape": ["bumpy", R, level]}
-    raise CliError(EXIT_SHAPE, f"unsupported shape spec: {' '.join(tokens)}")
+        ok = False
+    if not ok:
+        raise CliError(EXIT_SHAPE, f"malformed shape spec: {' '.join(tokens)} (expected "
+                       f"{SHAPE_HELP}, sizes positive, L a non-negative integer)")
+    return name, sizes, level
+
+
+def _build_shape(name: str, sizes: list[float], level: int) -> geometry.TriMesh:
+    return SHAPES[name][0](*sizes, level)
 
 
 def _load_input(args) -> tuple[geometry.TriMesh, int | None, dict]:
@@ -61,13 +77,17 @@ def _load_input(args) -> tuple[geometry.TriMesh, int | None, dict]:
         except geometry.OffParseError as exc:
             raise CliError(EXIT_FILE, f"OFF parse error: {exc}") from exc
         return mesh, None, {"mesh": args.mesh}
-    return _build_shape(args.shape)
+    name, sizes, level = _parse_shape(args.shape, need_level=True)
+    return _build_shape(name, sizes, level), level, {"shape": [name, *sizes, level]}
 
 
 def _emit(text: str, path) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_FILE, f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -86,9 +106,9 @@ def _solve(mesh: geometry.TriMesh, quad_order: int) -> bem.EquilibriumSolution:
 def cmd_capacity(args) -> int:
     mesh, level, src = _load_input(args)
     sol = _solve(mesh, args.quad_order)
-    far = args.far_mult * mesh.diameter
-    cap_charge, cap_asympt, cap_energy = bem.capacity_three_ways(sol, far)
-    payload = {
+    cap_charge, cap_asympt, cap_energy = bem.capacity_three_ways(
+        sol, args.far_mult * mesh.diameter)
+    row = {
         "cap_charge": cap_charge,
         "cap_asymptotic": cap_asympt,
         "cap_energy": cap_energy,
@@ -97,16 +117,12 @@ def cmd_capacity(args) -> int:
         # good to a small factor; gecon's last digits vary from run to run
         "cond_estimate": float(f"{sol.cond_estimate:.3g}"),
         "sigma_positive": sol.sigma_positive,
-        "config": _echo_config(args, src, level),
     }
     if args.format == "json":
-        _emit(functionals.json_17g(payload), args.output)
+        text = functionals.json_17g({**row, "config": _echo_config(args, src, level)})
     else:
-        keys = ["cap_charge", "cap_asymptotic", "cap_energy", "panels",
-                "residual_inf", "cond_estimate", "sigma_positive"]
-        lines = [",".join(keys),
-                 ",".join(_csv_cell(payload[k]) for k in keys)]
-        _emit("\n".join(lines) + "\n", args.output)
+        text = _csv([row.values()], list(row))
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -114,12 +130,9 @@ def cmd_verify(args) -> int:
     mesh, level, src = _load_input(args)
     sol = _solve(mesh, args.quad_order)
     thresholds = functionals.default_thresholds(level)
-    if args.tol_f1 is not None:
-        thresholds["tol_f1"] = args.tol_f1
-    if args.tol_f2 is not None:
-        thresholds["tol_f2"] = args.tol_f2
-    if args.tol_newton is not None:
-        thresholds["tol_newton"] = args.tol_newton
+    for key in thresholds:
+        if getattr(args, key) is not None:
+            thresholds[key] = getattr(args, key)
     report = functionals.verify_solution(
         sol, level=level, seed=args.seed, n_samples=args.samples,
         thresholds=thresholds,
@@ -137,20 +150,12 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    if args.shape is None:
-        raise CliError(EXIT_FILE, "convergence requires --shape")
-    name = args.shape[0]
-    levels = list(range(args.min_level, args.max_level + 1))
+    name, sizes, _ = _parse_shape(args.shape, need_level=False)
+    closed_form = SHAPES[name][2]
+    oracle_cap = closed_form(*sizes) if closed_form else None
     rows = []
-    oracle_cap = None
-    if name == "sphere":
-        oracle_cap = oracles.ball_capacity(3, float(args.shape[1]))
-    elif name == "ellipsoid":
-        a, b, c = (float(v) for v in args.shape[1:4])
-        oracle_cap = oracles.ellipsoid_capacity(a, b, c)
-    for level in levels:
-        tokens = args.shape[:-1] if _shape_has_level(args.shape) else list(args.shape)
-        mesh, _, _ = _build_shape(tokens + [str(level)])
+    for level in range(args.min_level, args.max_level + 1):
+        mesh = _build_shape(name, sizes, level)
         t0 = time.perf_counter()
         sol = _solve(mesh, args.quad_order)
         rep = functionals.verify_solution(sol, level=level, seed=args.seed,
@@ -159,10 +164,8 @@ def cmd_convergence(args) -> int:
         err = abs(sol.capacity - oracle_cap) / oracle_cap if oracle_cap else None
         rows.append((level, mesh.num_panels, sol.capacity, err, rep.f1,
                      rep.f2_lhs - rep.f2_rhs, rep.newton_sup_deficit, wall))
-    lines = ["level,panels,capacity,cap_error,f1,f2_gap,newton_deficit,wall_time_s"]
-    for r in rows:
-        lines.append(",".join(_csv_cell(v) for v in r))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_csv(rows, ["level", "panels", "capacity", "cap_error", "f1", "f2_gap",
+                      "newton_deficit", "wall_time_s"]), args.output)
     if name == "sphere":
         errs = [r[3] for r in rows]
         if any(b >= a for a, b in zip(errs, errs[1:])):
@@ -170,20 +173,16 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def _shape_has_level(tokens: list[str]) -> bool:
-    expected = {"sphere": 2, "ellipsoid": 4, "bumpy": 2}.get(tokens[0])
-    return expected is not None and len(tokens) - 1 == expected
-
-
 def cmd_oracle(args) -> int:
     n = args.dim
-    tokens = args.shape or []
-    if not tokens or tokens[0] not in ("sphere", "ellipsoid"):
-        raise CliError(EXIT_SHAPE, f"no analytic oracle for shape: {' '.join(tokens) or '(none)'}")
-    name = tokens[0]
+    tokens = ["sphere", "1"] if args.shape == ["sphere"] else args.shape  # the unit ball
+    name, sizes, _ = _parse_shape(tokens, need_level=False)
+    closed_form = SHAPES[name][2]
+    if closed_form is None:
+        raise CliError(EXIT_SHAPE, f"no analytic oracle for shape: {name}")
     out = {"omega_n": oracles.unit_sphere_area(n), "dim": n}
     if name == "sphere":
-        R = float(tokens[1]) if len(tokens) > 1 else 1.0
+        (R,) = sizes
         cap = oracles.ball_capacity(n, R)
         fields = functionals.ball_boundary_fields(n, R)
         lhs, rhs = functionals.f2(fields, cap, n)
@@ -201,11 +200,8 @@ def cmd_oracle(args) -> int:
             out.update(lb_product=product, lb_rhs=lb)
     else:
         if n != 3:
-            raise CliError(EXIT_SHAPE, "ellipsoid oracle is n = 3 only")
-        if len(tokens) != 4:
-            raise CliError(EXIT_SHAPE, "ellipsoid oracle needs: ellipsoid a b c")
-        a, b, c = (float(v) for v in tokens[1:])
-        out.update(shape=["ellipsoid", a, b, c], capacity=oracles.ellipsoid_capacity(a, b, c))
+            raise CliError(EXIT_SHAPE, f"{name} oracle is n = 3 only")
+        out.update(shape=[name, *sizes], capacity=closed_form(*sizes))
     _emit(functionals.json_17g(out), args.output)
     return EXIT_OK
 
@@ -214,17 +210,21 @@ def cmd_oracle(args) -> int:
 # plumbing
 
 
-def _csv_cell(v) -> str:
+def _csv_cell(v, key: str = "(CSV cell)") -> str:
     """None is an empty cell; NaN and inf raise NonFiniteError, as in JSON."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
-        if not math.isfinite(v):
-            raise functionals.NonFiniteError(f"non-finite value {v} in a CSV cell")
-        return format(v, ".17g")
+        return functionals.format_17g(v, key)
     return str(v)
+
+
+def _csv(rows, header: list[str]) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(v, k) for k, v in zip(header, r)) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _echo_config(args, src: dict, level) -> dict:
@@ -235,65 +235,71 @@ def _echo_config(args, src: dict, level) -> dict:
     return cfg
 
 
+def _at_least(kind, low):
+    """argparse type: a `kind` value no smaller than `low`."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"{text} is below the minimum {low}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="capsym", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_io(p, shape=True, mesh=True):
-        if shape:
-            p.add_argument("--shape", nargs="+", metavar="TOK",
-                           help="sphere R L | ellipsoid a b c L | bumpy R L")
-        if mesh:
-            p.add_argument("--mesh", help="OFF mesh file")
-        p.add_argument("--output", help="write report here instead of stdout")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--output", help="write the output here instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("capacity", help="solve and report capacity three ways")
+    def add_io(p):
+        p.add_argument("--shape", nargs="+", metavar="TOK", help=SHAPE_HELP)
+        p.add_argument("--mesh", help="OFF mesh file")
+
+    def add_quad_order(p):
+        p.add_argument("--quad-order", type=int, default=6, choices=(1, 3, 6, 12))
+
+    p = command("capacity", cmd_capacity, "solve and report capacity three ways")
     add_io(p)
-    p.add_argument("--quad-order", type=int, default=6, dest="quad_order",
-                   choices=(1, 3, 6, 12))
-    p.add_argument("--far-mult", type=float, default=15.0, dest="far_mult")
+    add_quad_order(p)
+    p.add_argument("--far-mult", type=_at_least(float, 10.0), default=15.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("verify", help="full symmetry diagnostic report")
+    p = command("verify", cmd_verify, "full symmetry diagnostic report")
     add_io(p)
-    p.add_argument("--quad-order", type=int, default=6, dest="quad_order",
-                   choices=(1, 3, 6, 12))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol-f1", type=float, default=None, dest="tol_f1")
-    p.add_argument("--tol-f2", type=float, default=None, dest="tol_f2")
-    p.add_argument("--tol-newton", type=float, default=None, dest="tol_newton")
+    add_quad_order(p)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
+    p.add_argument("--samples", type=_at_least(int, 1), default=64)
+    p.add_argument("--tol-f1", type=float, default=None)
+    p.add_argument("--tol-f2", type=float, default=None)
+    p.add_argument("--tol-newton", type=float, default=None)
     p.add_argument("--discrete-curvature", action="store_true",
                    help="ignore exact curvature tags, use the cotangent estimate")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("identity-check", help="run the differential identity suite")
-    p.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5, 6])
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("identity-check", cmd_identity_check, "run the differential identity suite")
+    p.add_argument("--dims", type=_at_least(int, 3), nargs="+", default=[3, 4, 5, 6])
+    p.add_argument("--points", type=_at_least(int, 1), default=10)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--inject-fault", action="store_true",
                    help="test harness: corrupt residuals to exercise failure paths")
-    p.add_argument("--output", help="write report here instead of stdout")
-    p.set_defaults(func=cmd_identity_check)
 
-    p = sub.add_parser("convergence", help="refinement study, CSV output")
+    p = command("convergence", cmd_convergence, "refinement study, CSV output")
     p.add_argument("--shape", nargs="+", metavar="TOK", required=True,
-                   help="sphere R | ellipsoid a b c (level appended per row)")
-    p.add_argument("--min-level", type=int, default=2, dest="min_level")
-    p.add_argument("--max-level", type=int, default=4, dest="max_level")
-    p.add_argument("--quad-order", type=int, default=6, dest="quad_order",
-                   choices=(1, 3, 6, 12))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--output", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_convergence)
+                   help="sphere R | ellipsoid a b c | bumpy R (level set per row)")
+    p.add_argument("--min-level", type=_at_least(int, 0), default=2)
+    p.add_argument("--max-level", type=_at_least(int, 0), default=4)
+    add_quad_order(p)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
+    p.add_argument("--samples", type=_at_least(int, 1), default=16)
 
-    p = sub.add_parser("oracle", help="closed-form oracle values")
-    p.add_argument("--shape", nargs="+", metavar="TOK", required=True)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--output", help="write report here instead of stdout")
-    p.set_defaults(func=cmd_oracle)
+    p = command("oracle", cmd_oracle, "closed-form oracle values")
+    p.add_argument("--shape", nargs="+", metavar="TOK", required=True,
+                   help="sphere [R] | ellipsoid a b c")
+    p.add_argument("--dim", type=_at_least(int, 3), default=3)
     return ap
 
 

@@ -41,16 +41,15 @@ class BoundaryFields:
             raise ValueError("empty boundary fields")
 
 
-def ball_boundary_fields(n: int, R: float, panels: int = 1) -> BoundaryFields:
+def ball_boundary_fields(n: int, R: float) -> BoundaryFields:
     """Exact boundary fields of the ball in R^n: H = 1/R, |Du| = (n-2)/R,
-    total area omega_n R^(n-1), split over `panels` equal weights."""
+    on one panel that carries the whole area omega_n R^(n-1)."""
     if n < 3 or R <= 0:
         raise ValueError(f"need n >= 3 and R > 0, got n={n}, R={R}")
-    total = unit_sphere_area(n) * R ** (n - 1)
     return BoundaryFields(
-        du=np.full(panels, (n - 2) / R),
-        H=np.full(panels, 1.0 / R),
-        area=np.full(panels, total / panels),
+        du=[(n - 2) / R],
+        H=[1.0 / R],
+        area=[unit_sphere_area(n) * R ** (n - 1)],
     )
 
 
@@ -185,9 +184,10 @@ def sample_exterior_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
     return center + (r0 * radii)[:, None] * dirs
 
 
-def _scan(sol: EquilibriumSolution, sample_points, n: int) -> tuple[float, np.ndarray, float]:
+def _scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndarray, float]:
     """(sup, per-point values) of the normalized Newton deficit and the max
     relative pbv residual, from one batched evaluation of u, Du and D2u."""
+    n = 3  # the BEM solution is a potential in R^3
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     deficits, residuals = np.empty(len(pts)), np.empty(len(pts))
     for k, (u, Du, D2u) in enumerate(zip(*eval_fields(sol, pts))):
@@ -197,20 +197,19 @@ def _scan(sol: EquilibriumSolution, sample_points, n: int) -> tuple[float, np.nd
     return float(np.max(deficits)), deficits, float(np.max(residuals, initial=0.0))
 
 
-def newton_scan(sol: EquilibriumSolution, sample_points, n: int = 3
-                ) -> tuple[float, np.ndarray]:
+def newton_scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndarray]:
     """Normalized Newton deficit of D2v at each sample point.
 
     deficit / Tr(D2v)^2 is scale-free; the sup over points is the
     symmetry discriminator (zero exactly for balls).
     """
-    sup, deficits, _ = _scan(sol, sample_points, n)
+    sup, deficits, _ = _scan(sol, sample_points)
     return sup, deficits
 
 
-def pbv_scan(sol: EquilibriumSolution, sample_points, n: int = 3) -> float:
+def pbv_scan(sol: EquilibriumSolution, sample_points) -> float:
     """Max relative residual of the auxiliary PDE for v at the sample points."""
-    return _scan(sol, sample_points, n)[2]
+    return _scan(sol, sample_points)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,7 @@ def verify_solution(sol: EquilibriumSolution, level: int | None = None,
     scale = f1_scale(fields)
     lhs, rhs = f2(fields, cap, 3)
     product, lb_rhs = lower_bound_n3(cap, fields)
-    newton_sup, _, pbv_max = _scan(sol, sample_exterior_points(sol.mesh, n_samples, seed), 3)
+    newton_sup, _, pbv_max = _scan(sol, sample_exterior_points(sol.mesh, n_samples, seed))
     if thresholds is None:
         thresholds = default_thresholds(level)
     verdict, reasons = symmetry_verdict(val_f1, scale, lhs, rhs, newton_sup, thresholds)
@@ -317,28 +316,17 @@ def verify_solution(sol: EquilibriumSolution, level: int | None = None,
 # serialization: floats at 17 significant digits (lossless round-trip)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 class NonFiniteError(ValueError):
     """A report value is NaN or infinite, which JSON cannot represent."""
 
 
-def _to_jsonable(obj, key="(top level)"):
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise NonFiniteError(f"non-finite value {float(obj)} at key {key!r}")
-        return float(_fmt(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v, k) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
-    return obj
+def format_17g(x, key) -> str:
+    """x at 17 significant digits, which round-trips exactly; NaN and inf
+    raise NonFiniteError naming `key`, since no JSON or CSV reader takes them."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteError(f"non-finite value {x} at key {key!r}")
+    return format(x, ".17g")
 
 
 def report_to_dict(report: TheoremReport) -> dict:
@@ -374,27 +362,30 @@ def json_17g(obj) -> str:
     Raises NonFiniteError (a ValueError) naming the key of any NaN or
     infinite value, since no JSON parser accepts those.
     """
-    jsonable = _to_jsonable(obj)
 
-    def render(o, indent=0):
+    def render(o, key="(top level)", indent=0):
         pad = "  " * indent
         if isinstance(o, dict):
             if not o:
                 return "{}"
             items = [
-                f'{pad}  {json.dumps(str(k))}: {render(v, indent + 1)}'
+                f'{pad}  {json.dumps(str(k))}: {render(v, k, indent + 1)}'
                 for k, v in o.items()
             ]
             return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-        if isinstance(o, list):
+        if isinstance(o, np.ndarray):
+            o = o.tolist()
+        if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            items = [f"{pad}  {render(v, indent + 1)}" for v in o]
+            items = [f"{pad}  {render(v, f'{key}[{i}]', indent + 1)}" for i, v in enumerate(o)]
             return "[\n" + ",\n".join(items) + f"\n{pad}]"
         if isinstance(o, bool):
             return "true" if o else "false"
-        if isinstance(o, float):
-            return _fmt(o)
+        if isinstance(o, (float, np.floating)):
+            return format_17g(o, key)
+        if isinstance(o, np.integer):
+            o = int(o)
         return json.dumps(o)
 
-    return render(jsonable) + "\n"
+    return render(obj) + "\n"

@@ -40,8 +40,9 @@ class TestFunction:
     hessian: Callable[[np.ndarray], np.ndarray]
     positive: bool = False
 
-    def check_consistency(self, x, h: float = 1e-5, tol: float = 1e-4) -> None:
+    def check_consistency(self, x) -> None:
         """Verify gradient/Hessian against central differences of the value."""
+        h, tol = 1e-5, 1e-4
         x = np.asarray(x, dtype=float)
         g = np.asarray(self.gradient(x), dtype=float)
         Hm = np.asarray(self.hessian(x), dtype=float)
@@ -135,14 +136,15 @@ def _exp_sin_hess(x):
 # finite-difference machinery
 
 
-def _fd_divergence(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> float:
-    """Central-difference divergence of a vector field."""
+def _fd_divergence(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float):
+    """Central-difference divergence of a vector field, or of each row of a
+    matrix field: sum_j d/dx_j field[..., j]."""
     n = len(x)
     total = 0.0
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        total += (field(x + e)[j] - field(x - e)[j]) / (2.0 * h)
+        total += (field(x + e)[..., j] - field(x - e)[..., j]) / (2.0 * h)
     return total
 
 
@@ -155,13 +157,7 @@ def check_div_free_s2(f: TestFunction, x, h: float) -> np.ndarray:
     """Row-wise divergence of S^2(D2f): each row is divergence-free, so the
     returned residual vector tends to 0 at O(h^2)."""
     x = np.asarray(x, dtype=float)
-    n = f.n
-    res = np.empty(n)
-    for i in range(n):
-        def row(y, i=i):
-            return symfun.s2_tensor(f.hessian(y))[i]
-        res[i] = _fd_divergence(row, x, h)
-    return res
+    return _fd_divergence(lambda y: symfun.s2_tensor(f.hessian(y)), x, h)
 
 
 def _power_checks(f: TestFunction, gamma: float, x: np.ndarray) -> None:
@@ -435,10 +431,11 @@ def run_suite(dims, points: int, seed: int, inject_fault: bool = False) -> Suite
         limit = boundary_limit_constant(n, ball_capacity(n, 1.0))
         rows1 = check_boundary_limits(n, [10.0, 100.0, 1000.0], float(g1))
         rows2 = check_boundary_limits(n, [10.0, 100.0, 1000.0], float(g2))
-        f1_ok = all(abs(v) <= 1e-6 * max(1.0, limit) for _, v in rows1)
+        g1_max = max(abs(v) for _, v in rows1)
+        f1_ok = g1_max + fault <= 1e-6 * max(1.0, limit)
         f2_ok = abs(rows2[-1][1] - limit) <= 0.01 * limit and not inject_fault
         rows.append((f"n={n} boundary limits: gamma1 flux max "
-                     f"{max(abs(v) for _, v in rows1):.3e} -> 0 {'ok' if f1_ok else 'FAIL'}; "
+                     f"{g1_max:.3e} -> 0 {'ok' if f1_ok else 'FAIL'}; "
                      f"gamma2 flux {rows2[-1][1]:.12g} vs {limit:.12g} "
                      f"{'ok' if f2_ok else 'FAIL'}", bool(f1_ok and f2_ok)))
 

@@ -302,6 +302,84 @@ class TestReviewedDefects:
         assert not out.exists()
 
 
+# malformed argvs and the exit code each must end in; 2 is argparse's
+# usage-error SystemExit
+MALFORMED = [
+    (["convergence", "--shape", "ellipsoid", "2", "1"], cli.EXIT_SHAPE),
+    (["convergence", "--shape", "sphere", "abc"], cli.EXIT_SHAPE),
+    (["convergence", "--shape", "sphere"], cli.EXIT_SHAPE),
+    (["oracle", "--shape", "sphere", "abc"], cli.EXIT_SHAPE),
+    (["oracle", "--shape", "ellipsoid", "2", "1", "x"], cli.EXIT_SHAPE),
+    (["oracle", "--shape", "sphere", "-1"], cli.EXIT_SHAPE),
+    (["oracle", "--shape", "sphere", "nan"], cli.EXIT_SHAPE),
+    (["capacity", "--shape", "sphere", "1", "-1"], cli.EXIT_SHAPE),
+    (["capacity", "--shape", "sphere", "1", "2.5"], cli.EXIT_SHAPE),
+    (["verify", "--shape", "ellipsoid", "2", "1", "0", "1"], cli.EXIT_SHAPE),
+    (["identity-check", "--dims", "2"], 2),
+    (["identity-check", "--points", "0"], 2),
+    (["identity-check", "--seed", "-1"], 2),
+    (["verify", "--shape", "sphere", "1", "1", "--samples", "0"], 2),
+    (["convergence", "--shape", "sphere", "1", "--min-level", "-1"], 2),
+    (["oracle", "--shape", "sphere", "1", "--dim", "2"], 2),
+    (["capacity", "--shape", "sphere", "1", "1", "--far-mult", "5"], 2),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv,code", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+    def test_one_error_line_and_exit_code(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "out.txt"
+        try:
+            rc = run(argv + ["--output", str(out)])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unwritable_output_is_4(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "o.json"
+        assert run(["oracle", "--shape", "sphere", "--output", str(out)]) == cli.EXIT_FILE
+        assert capsys.readouterr().err.startswith("error: cannot write output file:")
+        assert not out.parent.exists()
+
+    def test_inject_fault_fails_both_halves_of_every_boundary_row(self, tmp_path):
+        out = tmp_path / "id.txt"
+        assert run(["identity-check", "--dims", "3", "4", "5", "6", "--points", "2",
+                    "--inject-fault", "--output", str(out)]) == 1
+        rows = [line for line in out.read_text().splitlines() if "boundary limits" in line]
+        assert [row.split()[0] for row in rows] == ["n=3", "n=4", "n=5", "n=6"]
+        for row in rows:
+            assert "-> 0 FAIL;" in row and row.endswith("FAIL")
+
+
+class TestShapeTable:
+    def test_bare_oracle_sphere_is_the_unit_ball(self, capsys):
+        assert run(["oracle", "--shape", "sphere"]) == 0
+        bare = capsys.readouterr().out
+        assert run(["oracle", "--shape", "sphere", "1"]) == 0
+        assert capsys.readouterr().out == bare
+
+    def test_convergence_ignores_a_level_in_the_spec(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["convergence", "--min-level", "1", "--max-level", "1",
+                "--quad-order", "3", "--samples", "4", "--shape", "sphere", "1"]
+        assert run(argv + ["--output", str(a)]) == 0
+        assert run(argv + ["7", "--output", str(b)]) == 0
+        strip = [line.rsplit(",", 1)[0] for line in a.read_text().splitlines()]
+        assert strip == [line.rsplit(",", 1)[0] for line in b.read_text().splitlines()]
+
+    @pytest.mark.parametrize("name", sorted(cli.SHAPES))
+    def test_every_shape_builds_with_its_echoed_spec(self, tmp_path, name):
+        sizes = ["2", "1", "1"][:cli.SHAPES[name][1]]
+        out = tmp_path / "cap.json"
+        assert run(["capacity", "--shape", name, *sizes, "1", "--quad-order", "3",
+                    "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["shape"] == [name, *map(float, sizes), 1]
+
+
 class TestSingleValidation:
     """Each solve validates its mesh once, inside the library."""
 
@@ -429,7 +507,7 @@ def _identity_check_reference(dims, points, seed, inject_fault):
         f1_ok = all(abs(v) <= 1e-6 * max(1.0, limit) for _, v in rows1)
         f2_ok = abs(rows2[-1][1] - limit) <= 0.01 * limit
         if inject_fault:
-            f2_ok = False
+            f1_ok = f2_ok = False
         all_ok &= f1_ok and f2_ok
         lines.append(f"n={n} boundary limits: gamma1 flux max "
                      f"{max(abs(v) for _, v in rows1):.3e} -> 0 {'ok' if f1_ok else 'FAIL'}; "

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -277,3 +278,21 @@ class TestJsonNonFinite:
     def test_names_nested_list_entry(self):
         with pytest.raises(fn.NonFiniteError, match=r"shape\[1\]"):
             fn.json_17g({"config": {"shape": ["sphere", float("inf")]}})
+
+
+class TestFormat17g:
+    @pytest.mark.parametrize("x", [0.1, 1 / 3, 4 * np.pi, np.float64(2.5e-300), -7.0])
+    def test_round_trips_exactly(self, x):
+        assert float(fn.format_17g(x, "k")) == x
+
+    def test_json_and_csv_share_it(self):
+        value = 1 / 3
+        assert fn.json_17g({"a": value}) == f'{{\n  "a": {fn.format_17g(value, "a")}\n}}\n'
+
+    def test_names_the_key(self):
+        with pytest.raises(fn.NonFiniteError, match="cap_error"):
+            fn.format_17g(float("nan"), "cap_error")
+
+    def test_numpy_containers_render_as_lists(self):
+        text = fn.json_17g({"v": np.array([1.5, 2.0]), "t": (np.int64(3), True, None)})
+        assert json.loads(text) == {"v": [1.5, 2.0], "t": [3, True, None]}

@@ -76,6 +76,33 @@ class TestDivFreeS2:
         r2 = np.max(np.abs(lab.check_div_free_s2(f, x, h / 2)))
         assert 3.5 <= r1 / r2 <= 4.5
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_one_pass_matches_frozen_row_loop(self, n, monkeypatch):
+        # the per-row loop `check_div_free_s2` ran before it took the
+        # divergence of every row in one pass; same summation order, so equal
+        def row_loop(f, x, h):
+            res = np.empty(f.n)
+            for i in range(f.n):
+                total = 0.0
+                for j in range(f.n):
+                    e = np.zeros(f.n)
+                    e[j] = h
+                    total += (symfun.s2_tensor(f.hessian(x + e))[i][j]
+                              - symfun.s2_tensor(f.hessian(x - e))[i][j]) / (2.0 * h)
+                res[i] = total
+            return res
+
+        calls = []
+        s2_tensor = symfun.s2_tensor
+        monkeypatch.setattr(symfun, "s2_tensor", lambda M: calls.append(1) or s2_tensor(M))
+        for f in lab.standard_test_functions(n, np.random.default_rng(n)):
+            for x in _rng_points(n, 3, seed=n):
+                for h in (lab.default_step(x), lab.default_step(x) / 2):
+                    del calls[:]
+                    got = lab.check_div_free_s2(f, x, h)
+                    assert len(calls) == 2 * n
+                    assert np.array_equal(got, row_loop(f, x, h))
+
 
 class TestIdentityChecks:
     def test_linear_function_trivial(self):
