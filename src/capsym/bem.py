@@ -499,21 +499,21 @@ def eval_hessian(sol: EquilibriumSolution, x) -> np.ndarray:
 
 def capacity_three_ways(sol: EquilibriumSolution, far_radius: float
                         ) -> tuple[float, float, float]:
-    """Capacity by total charge, far-field asymptotics, and boundary energy.
+    """Capacity by total charge, far-field asymptotics, and Gauss's law.
 
-    cap_charge  = sum sigma * area (total equilibrium charge)
+    cap_charge  = sum sigma * area (total equilibrium charge, `sol.capacity`)
     cap_asympt  = (n-2) omega_n * mean over a far sample sphere of u |x|^{n-2}
-    cap_energy  = int_{boundary} u (du/dnu) dA with u = 1 on the boundary,
-                  which collapses to the same charge sum: not independent.
+    cap_flux    = -int du/dnu dA over the same sphere, the mean of Du.nu times
+                  its area, from the Du of the same evaluation
     """
     if far_radius < 10.0 * sol.mesh.diameter:
         raise ValueError(
             f"far_radius {far_radius} below 10x mesh diameter {sol.mesh.diameter}"
         )
-    cap_charge = float(sol.sigma @ sol.mesh.areas)
     center = sol.mesh.center
     dirs, _ = _unit_icosphere(2)
     X = center + far_radius * dirs
-    u, _, _ = eval_fields(sol, X)
+    u, Du, _ = eval_fields(sol, X)
     cap_asympt = FOUR_PI * float(np.mean(u * np.linalg.norm(X - center, axis=1)))
-    return cap_charge, cap_asympt, cap_charge
+    cap_flux = -FOUR_PI * far_radius**2 * float(np.mean(np.einsum("pi,pi->p", Du, dirs)))
+    return sol.capacity, cap_asympt, cap_flux

@@ -2,10 +2,10 @@
 identity suite, convergence studies, and closed-form oracle queries.
 
 Exit codes: 0 success, 1 an identity-check row failed, 2 solver error,
-non-finite report value or argument usage error, 3 mesh validation
-failure, 4 unreadable input or unwritable output file, 5 malformed or
-unsupported shape spec on any subcommand.  The ball/not-ball verdict is
-data inside the report, never an exit code.
+non-finite report value, arithmetic failure or argument usage error, 3
+mesh validation failure, 4 unreadable input or unwritable output file, 5
+malformed or unsupported shape spec on any subcommand.  The
+ball/not-ball verdict is data inside the report, never an exit code.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ def _solve(mesh: geometry.TriMesh, quad_order: int) -> bem.EquilibriumSolution:
 def cmd_capacity(args) -> int:
     mesh, level, src = _load_input(args)
     sol = _solve(mesh, args.quad_order)
-    cap_charge, cap_asympt, cap_energy = bem.capacity_three_ways(
+    cap_charge, cap_asympt, cap_flux = bem.capacity_three_ways(
         sol, args.far_mult * mesh.diameter)
     row = {
         "cap_charge": cap_charge,
         "cap_asymptotic": cap_asympt,
-        "cap_energy": cap_energy,
+        "cap_flux": cap_flux,
         "panels": mesh.num_panels,
         "residual_inf": sol.residual_inf,
         # good to a small factor; gecon's last digits vary from run to run
@@ -150,6 +150,9 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    if args.min_level > args.max_level:
+        raise CliError(EXIT_SOLVER, f"empty level range: --min-level {args.min_level} "
+                       f"is above --max-level {args.max_level}")
     name, sizes, _ = _parse_shape(args.shape, need_level=False)
     closed_form = SHAPES[name][2]
     oracle_cap = closed_form(*sizes) if closed_form else None
@@ -236,9 +239,11 @@ def _echo_config(args, src: dict, level) -> dict:
 
 
 def _at_least(kind, low):
-    """argparse type: a `kind` value no smaller than `low`."""
+    """argparse type: a finite `kind` value no smaller than `low`."""
     def parse(text: str):
         value = kind(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text} is not a finite number")
         if not value >= low:
             raise argparse.ArgumentTypeError(f"{text} is below the minimum {low}")
         return value
@@ -274,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_quad_order(p)
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--samples", type=_at_least(int, 1), default=64)
-    p.add_argument("--tol-f1", type=float, default=None)
-    p.add_argument("--tol-f2", type=float, default=None)
-    p.add_argument("--tol-newton", type=float, default=None)
+    p.add_argument("--tol-f1", type=_at_least(float, 0.0), default=None)
+    p.add_argument("--tol-f2", type=_at_least(float, 0.0), default=None)
+    p.add_argument("--tol-newton", type=_at_least(float, 0.0), default=None)
     p.add_argument("--discrete-curvature", action="store_true",
                    help="ignore exact curvature tags, use the cotangent estimate")
 
@@ -315,6 +320,9 @@ def main(argv=None) -> int:
         return EXIT_MESH
     except functionals.NonFiniteError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_SOLVER
+    except ArithmeticError as exc:  # sizes or dimensions beyond the float range
+        sys.stderr.write(f"error: arithmetic failure ({type(exc).__name__}): {exc}\n")
         return EXIT_SOLVER
 
 

@@ -176,15 +176,19 @@ def validate(mesh: TriMesh) -> ValidationReport:
     F = mesh.num_panels
     euler = V - E + F
 
-    areas = mesh.areas
-    min_area = float(areas.min()) if len(areas) else 0.0
-    # quality = 4 sqrt(3) area / sum(edge^2): 1 for equilateral, -> 0 degenerate
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # coordinates near the float range overflow the cross products: reported
+    # as an issue below, not warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        areas = mesh.areas
+        # quality = 4 sqrt(3) area / sum(edge^2): 1 for equilateral, -> 0 degenerate
         qual = 4.0 * math.sqrt(3.0) * areas / (mesh.edge_lengths**2).sum(axis=1)
+    min_area = float(areas.min()) if len(areas) else 0.0
+    finite = bool(np.isfinite(areas).all())
+    sized = finite and min_area > 0
     min_quality = float(np.min(qual)) if len(qual) else 0.0
 
     outward = False
-    if min_area > 0:
+    if sized:
         flux = float(np.einsum("ij,ij,i->", mesh.centroids, mesh._cross / 2.0, np.ones(F)))
         outward = flux > 0
 
@@ -195,9 +199,11 @@ def validate(mesh: TriMesh) -> ValidationReport:
         issues.append("inconsistent triangle orientation")
     if euler != 2:
         issues.append(f"Euler characteristic {euler} != 2")
-    if min_area <= 0:
+    if not finite:
+        issues.append("non-finite triangle area (coordinates overflow)")
+    elif min_area <= 0:
         issues.append("degenerate triangle with zero area")
-    if closed and oriented and min_area > 0 and not outward:
+    if closed and oriented and sized and not outward:
         issues.append("normals point inward (negative position flux)")
     return ValidationReport(
         closed=closed,

@@ -49,12 +49,10 @@ class TestFunction:
         scale_g = max(1.0, float(np.max(np.abs(g))))
         scale_h = max(1.0, float(np.max(np.abs(Hm))))
         for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = h
-            fd_g = (self.value(x + e) - self.value(x - e)) / (2 * h)
+            fd_g = _central_partial(self.value, x, j, h)
             if abs(fd_g - g[j]) > tol * scale_g:
                 raise ValueError(f"{self.name}: gradient component {j} inconsistent with FD")
-            fd_h = (np.asarray(self.gradient(x + e)) - np.asarray(self.gradient(x - e))) / (2 * h)
+            fd_h = _central_partial(lambda y: np.asarray(self.gradient(y)), x, j, h)
             if np.max(np.abs(fd_h - Hm[:, j])) > tol * scale_h:
                 raise ValueError(f"{self.name}: Hessian column {j} inconsistent with FD")
 
@@ -136,15 +134,20 @@ def _exp_sin_hess(x):
 # finite-difference machinery
 
 
+def _central_partial(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, j: int,
+                     h: float):
+    """(func(x + h e_j) - func(x - h e_j)) / 2h: the module's one stencil."""
+    e = np.zeros(len(x))
+    e[j] = h
+    return (func(x + e) - func(x - e)) / (2.0 * h)
+
+
 def _fd_divergence(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float):
     """Central-difference divergence of a vector field, or of each row of a
     matrix field: sum_j d/dx_j field[..., j]."""
-    n = len(x)
     total = 0.0
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        total += (field(x + e)[..., j] - field(x - e)[..., j]) / (2.0 * h)
+    for j in range(len(x)):
+        total += _central_partial(field, x, j, h)[..., j]
     return total
 
 
@@ -160,8 +163,7 @@ def check_div_free_s2(f: TestFunction, x, h: float) -> np.ndarray:
     return _fd_divergence(lambda y: symfun.s2_tensor(f.hessian(y)), x, h)
 
 
-def _power_checks(f: TestFunction, gamma: float, x: np.ndarray) -> None:
-    v = f.value(x)
+def _power_checks(f: TestFunction, gamma: float, v: float) -> None:
     if gamma != int(gamma):
         if not f.positive or v <= 0:
             raise ValueError(
@@ -171,88 +173,88 @@ def _power_checks(f: TestFunction, gamma: float, x: np.ndarray) -> None:
         raise ValueError(f"{f.name}: negative power gamma={gamma} at a zero of the function")
 
 
-def check_identity_A(f: TestFunction, gamma: float, x, h: float) -> float:
-    """Residual of: div(v^g S^2_ij v_i) = 2 v^g S_2(D2v) + g v^(g-1) S^2_ij v_i v_j."""
+def _flux_terms(v, Dv: np.ndarray, D2v, gamma: float):
+    """(a, b, F): a = v^g S^2_ij v_i, b = v^(g-1)|Dv|^2 v_j and the
+    divergence-form field of the symmetry proof, F = (g/2) b + a.  F is
+    formed as (g/2 v^(g-1)) |Dv|^2 Dv + a, not from b, which would round
+    differently: the identity suite's output stays byte-identical."""
+    g2 = float(Dv @ Dv)
+    a = v**gamma * (symfun.s2_tensor(D2v) @ Dv)
+    b = v ** (gamma - 1) * g2 * Dv
+    F = 0.5 * gamma * v ** (gamma - 1) * g2 * Dv + a
+    return a, b, F
+
+
+def check_identities(f: TestFunction, gamma: float, x, h: float) -> tuple[float, float, float]:
+    """Residuals (rA, rB, rC) of identities A, B and C at x.  The divergences
+    of a, b and F from `_flux_terms` come from one central-difference pass
+    over the stacked (3, n) field, so f, Df and D2f are evaluated once at
+    each of the 2n stencil points and once at x."""
     x = np.asarray(x, dtype=float)
-    _power_checks(f, gamma, x)
-
-    def field(y):
-        v = f.value(y)
-        Dv = np.asarray(f.gradient(y), dtype=float)
-        return v**gamma * (symfun.s2_tensor(f.hessian(y)) @ Dv)
-
-    lhs = _fd_divergence(field, x, h)
     v = f.value(x)
+    _power_checks(f, gamma, v)
+
+    def fields(y):
+        return np.stack(_flux_terms(f.value(y), np.asarray(f.gradient(y), dtype=float),
+                                    f.hessian(y), gamma))
+
+    div_a, div_b, div_F = _fd_divergence(fields, x, h)
     Dv = np.asarray(f.gradient(x), dtype=float)
     D2v = f.hessian(x)
-    rhs = 2.0 * v**gamma * symfun.sym_elementary(D2v, 2)
-    rhs += gamma * v ** (gamma - 1) * symfun.s2_quadratic_form(D2v, Dv)
-    return abs(lhs - rhs)
+    g2 = float(Dv @ Dv)
+    lap = float(np.trace(D2v))
+    s2_v = 2.0 * v**gamma * symfun.sym_elementary(D2v, 2)
+    quad = symfun.s2_quadratic_form(D2v, Dv)
+    rA = abs(div_a - (s2_v + gamma * v ** (gamma - 1) * quad))
+    rhs_B = (1.5 * v ** (gamma - 1) * g2 * lap
+             + 0.5 * (gamma - 1) * v ** (gamma - 2) * g2**2 - 0.5 * div_b)
+    rB = abs(v ** (gamma - 1) * quad - rhs_B)
+    rhs_C = (div_F - 1.5 * gamma * v ** (gamma - 1) * g2 * lap
+             - 0.5 * gamma * (gamma - 1) * v ** (gamma - 2) * g2**2)
+    rC = abs(s2_v - rhs_C)
+    return rA, rB, rC
+
+
+def check_identity_A(f: TestFunction, gamma: float, x, h: float) -> float:
+    """Residual of: div(v^g S^2_ij v_i) = 2 v^g S_2(D2v) + g v^(g-1) S^2_ij v_i v_j."""
+    return check_identities(f, gamma, x, h)[0]
 
 
 def check_identity_B(f: TestFunction, gamma: float, x, h: float) -> float:
     """Residual of: v^(g-1) S^2_ij v_i v_j
     = 3/2 v^(g-1)|Dv|^2 Lap v + (g-1)/2 v^(g-2)|Dv|^4 - 1/2 div(v^(g-1)|Dv|^2 Dv)."""
-    x = np.asarray(x, dtype=float)
-    _power_checks(f, gamma, x)
-
-    def field(y):
-        v = f.value(y)
-        Dv = np.asarray(f.gradient(y), dtype=float)
-        return v ** (gamma - 1) * float(Dv @ Dv) * Dv
-
-    div = _fd_divergence(field, x, h)
-    v = f.value(x)
-    Dv = np.asarray(f.gradient(x), dtype=float)
-    D2v = f.hessian(x)
-    g2 = float(Dv @ Dv)
-    lap = float(np.trace(D2v))
-    lhs = v ** (gamma - 1) * symfun.s2_quadratic_form(D2v, Dv)
-    rhs = 1.5 * v ** (gamma - 1) * g2 * lap + 0.5 * (gamma - 1) * v ** (gamma - 2) * g2**2 - 0.5 * div
-    return abs(lhs - rhs)
+    return check_identities(f, gamma, x, h)[1]
 
 
 def check_identity_C(f: TestFunction, gamma: float, x, h: float) -> float:
     """Residual of the combined identity:
     2 v^g S_2(D2v) = div(g/2 v^(g-1)|Dv|^2 Dv + v^g S^2_ij v_i)
                      - 3/2 g v^(g-1)|Dv|^2 Lap v - g(g-1)/2 v^(g-2)|Dv|^4."""
-    x = np.asarray(x, dtype=float)
-    _power_checks(f, gamma, x)
-
-    def field(y):
-        v = f.value(y)
-        Dv = np.asarray(f.gradient(y), dtype=float)
-        s2dv = symfun.s2_tensor(f.hessian(y)) @ Dv
-        return 0.5 * gamma * v ** (gamma - 1) * float(Dv @ Dv) * Dv + v**gamma * s2dv
-
-    div = _fd_divergence(field, x, h)
-    v = f.value(x)
-    Dv = np.asarray(f.gradient(x), dtype=float)
-    D2v = f.hessian(x)
-    g2 = float(Dv @ Dv)
-    lap = float(np.trace(D2v))
-    lhs = 2.0 * v**gamma * symfun.sym_elementary(D2v, 2)
-    rhs = div - 1.5 * gamma * v ** (gamma - 1) * g2 * lap - 0.5 * gamma * (gamma - 1) * v ** (gamma - 2) * g2**2
-    return abs(lhs - rhs)
+    return check_identities(f, gamma, x, h)[2]
 
 
-def median_order(f: TestFunction, cases: Iterable[tuple[np.ndarray, Callable[[float], float]]],
-                 rel_cut: float, fault: float = 0.0) -> float | None:
-    """Median of log2(r(h) / r(h/2)) over `cases`, pairs (x, r) of a point and
-    its FD residual as a function of the step h = default_step(x); central
-    differences give ~2.  A case with r(h) < rel_cut * max(1, |f(x)|) holds
-    exactly, to roundoff, and gives no order: None if all do.  `fault` is
-    added to every residual, to exercise the failure paths."""
-    orders = []
+def median_order(f: TestFunction, cases: Iterable[tuple[np.ndarray, Callable[[float], object]]],
+                 rel_cut: float, fault: float = 0.0) -> list[float | None]:
+    """Per row, the median of log2(r(h) / r(h/2)) over `cases`, pairs (x, r) of
+    a point and its FD residuals, one value per row (a scalar is one row), as
+    a function of the step h = default_step(x); central differences give ~2.
+    A row with r(h) < rel_cut * max(1, |f(x)|) holds exactly there, to
+    roundoff, and gives no order: None for a row where every case does.
+    r(h/2) is computed once per case, if any row needs it.  `fault` is added
+    to every residual, to exercise the failure paths."""
+    orders: list[list[float]] = []
     for x, residual in cases:
         h = default_step(x)
-        r1 = residual(h) + fault
-        if r1 < rel_cut * max(1.0, abs(f.value(x))):
+        r1 = np.atleast_1d(residual(h)) + fault
+        orders = orders or [[] for _ in r1]
+        exact = r1 < rel_cut * max(1.0, abs(f.value(x)))
+        if exact.all():
             continue
-        r2 = residual(h / 2.0) + fault
-        if r2 > 0:
-            orders.append(float(np.log2(r1 / r2)))
-    return float(np.median(orders)) if orders else None
+        r2 = np.atleast_1d(residual(h / 2.0)) + fault
+        for i in np.flatnonzero(~exact):
+            if r2[i] > 0:
+                orders[i].append(float(np.log2(r1[i] / r2[i])))
+    return [float(np.median(row)) if row else None for row in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +337,7 @@ def sphere_flux(n: int, R: float, gamma: float) -> float:
         raise ValueError(f"sphere radius must be positive, got {R}")
     x = np.zeros(n)
     x[0] = R
-    v, Dv, D2v = radial_v_fields(n, 1.0, x)
-    F = v**gamma * (symfun.s2_tensor(D2v) @ Dv)
-    F = F + 0.5 * gamma * v ** (gamma - 1) * float(Dv @ Dv) * Dv
+    F = _flux_terms(*radial_v_fields(n, 1.0, x), gamma)[2]
     return unit_sphere_area(n) * R ** (n - 1) * float(F[0])
 
 
@@ -369,10 +369,6 @@ class SuiteResult:
         return all(self.line_ok)
 
 
-def _div_free_residual(f: TestFunction, x: np.ndarray, h: float) -> float:
-    return float(np.max(np.abs(check_div_free_s2(f, x, h))))
-
-
 def run_suite(dims, points: int, seed: int, inject_fault: bool = False) -> SuiteResult:
     """The identity suite in each dimension of `dims` at `points` points drawn
     from `seed`: FD orders of identities A, B, C and of the divergence-free
@@ -389,9 +385,6 @@ def run_suite(dims, points: int, seed: int, inject_fault: bool = False) -> Suite
         if med is not None:
             row(f"n={n} {f.name:>14} {label}: order {med:+.3f}", 1.8 <= med <= 2.2)
 
-    # looked up per call, so wrappers installed on the module see every check
-    order_checks = (("identity_A", check_identity_A), ("identity_B", check_identity_B),
-                    ("identity_C", check_identity_C))
     for n in dims:
         rng = np.random.default_rng(seed)
         funcs = standard_test_functions(n, rng)
@@ -399,12 +392,13 @@ def run_suite(dims, points: int, seed: int, inject_fault: bool = False) -> Suite
         gammas = [float(g) for g in gamma_roots(n)] + [0.0, 1.0, -2.0]
         for f in funcs:
             f.check_consistency(pts[0])
-            for label, check in order_checks:
-                cases = ((x, partial(check, f, gamma, x)) for x in pts for gamma in gammas
-                         if gamma == int(gamma) or f.positive)
-                order_row(n, f, label, median_order(f, cases, 1e-11, fault))
-            cases = ((x, partial(_div_free_residual, f, x)) for x in pts)
-            order_row(n, f, "div_free_s2", median_order(f, cases, 1e-10, fault))
+            cases = ((x, partial(check_identities, f, gamma, x)) for x in pts for gamma in gammas
+                     if gamma == int(gamma) or f.positive)
+            for label, med in zip(("identity_A", "identity_B", "identity_C"),
+                                  median_order(f, cases, 1e-11, fault)):
+                order_row(n, f, label, med)
+            cases = ((x, lambda h, x=x: np.max(np.abs(check_div_free_s2(f, x, h)))) for x in pts)
+            order_row(n, f, "div_free_s2", median_order(f, cases, 1e-10, fault)[0])
             # level-set identities, closed form
             worst = 0.0
             for x in pts:

@@ -130,9 +130,9 @@ def test_criterion_1_ball_equality_chain():
 def test_criterion_2_capacity_three_ways(sphere_sols, timings):
     sol = sphere_sols[4]
     t0 = time.perf_counter()
-    cc, ca, ce = bem.capacity_three_ways(sol, 40.0)
+    cc, ca, cf = bem.capacity_three_ways(sol, 40.0)
     elapsed = timings["sphere4"] + (time.perf_counter() - t0)
-    vals = np.array([cc, ca, ce])
+    vals = np.array([cc, ca, cf])
     err = np.max(np.abs(vals - FOUR_PI)) / FOUR_PI
     spread = (vals.max() - vals.min()) / vals.min()
     ok = err < 0.015 and spread <= 0.005 and elapsed <= 120.0

@@ -251,16 +251,19 @@ class TestBoundaryGradient:
 
 class TestCapacityThreeWays:
     def test_sphere_agreement(self, sphere3_sol):
-        cc, ca, ce = bem.capacity_three_ways(sphere3_sol, 40.0)
-        for v in (cc, ca, ce):
+        cc, ca, cf = bem.capacity_three_ways(sphere3_sol, 40.0)
+        for v in (cc, ca, cf):
             assert abs(v - FOUR_PI) / FOUR_PI < 0.015
-        assert cc == ce  # algebraic identity of the discretization
+        assert cc == sphere3_sol.capacity
+        # Gauss's law: the flux of the discrete potential through an enclosing
+        # sphere is its total charge, up to the far-sphere quadrature
+        assert cf == pytest.approx(cc, rel=1e-10)
         assert abs(ca - cc) / cc < 0.005
 
     def test_spheroid_spread(self):
         sol = bem.solve_equilibrium(geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 3), 6)
-        cc, ca, ce = bem.capacity_three_ways(sol, 60.0)
-        vals = np.array([cc, ca, ce])
+        cc, ca, cf = bem.capacity_three_ways(sol, 60.0)
+        vals = np.array([cc, ca, cf])
         assert (vals.max() - vals.min()) / vals.min() < 0.01
 
     def test_far_radius_precondition(self, sphere2_sol):

@@ -84,7 +84,7 @@ class TestCapacity:
                     "--output", str(out)]) == 0
         data = json.loads(out.read_text())
         four_pi = 4 * math.pi
-        for key in ("cap_charge", "cap_asymptotic", "cap_energy"):
+        for key in ("cap_charge", "cap_asymptotic", "cap_flux"):
             assert abs(data[key] - four_pi) / four_pi < 0.02
         assert data["panels"] == 320
         assert data["sigma_positive"] is True
@@ -96,7 +96,7 @@ class TestCapacity:
         assert run(["capacity", "--shape", "sphere", "1", "1", "--format", "csv",
                     "--output", str(out)]) == 0
         header, row = out.read_text().strip().split("\n")
-        assert header.startswith("cap_charge,cap_asymptotic,cap_energy,panels")
+        assert header.startswith("cap_charge,cap_asymptotic,cap_flux,panels")
         assert row.split(",")[3] == "80"
 
     def test_mesh_file_input(self, sphere_off, tmp_path):
@@ -322,6 +322,19 @@ MALFORMED = [
     (["convergence", "--shape", "sphere", "1", "--min-level", "-1"], 2),
     (["oracle", "--shape", "sphere", "1", "--dim", "2"], 2),
     (["capacity", "--shape", "sphere", "1", "1", "--far-mult", "5"], 2),
+    (["capacity", "--shape", "sphere", "1", "1", "--far-mult", "inf"], 2),
+    (["verify", "--shape", "sphere", "1", "0", "--tol-f1", "-1"], 2),
+    (["verify", "--shape", "sphere", "1", "0", "--tol-f1", "nan"], 2),
+    (["verify", "--shape", "sphere", "1", "0", "--tol-f2", "inf"], 2),
+    (["verify", "--shape", "sphere", "1", "0", "--tol-newton", "-inf"], 2),
+    (["convergence", "--shape", "sphere", "1", "--min-level", "2", "--max-level", "1"],
+     cli.EXIT_SOLVER),
+    # numbers beyond the float range: an arithmetic failure, or a mesh whose
+    # areas overflow
+    (["oracle", "--shape", "sphere", "--dim", "400"], cli.EXIT_SOLVER),
+    (["oracle", "--shape", "sphere", "1e300", "--dim", "5"], cli.EXIT_SOLVER),
+    (["oracle", "--shape", "ellipsoid", "1e300", "1", "1"], cli.EXIT_SOLVER),
+    (["capacity", "--shape", "sphere", "1e200", "0"], cli.EXIT_MESH),
 ]
 
 
@@ -337,6 +350,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_off_mesh_is_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.off"
+        m = geo.make_sphere_mesh(1.0, 1)
+        geo.save_off(geo.TriMesh(m.vertices * 1e200, m.triangles.copy()), path)
+        out = tmp_path / "cap.json"
+        assert run(["capacity", "--mesh", str(path), "--output", str(out)]) == cli.EXIT_MESH
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: mesh failed validation: non-finite triangle area "
+                       "(coordinates overflow)"]
         assert not out.exists()
 
     def test_unwritable_output_is_4(self, tmp_path, capsys):

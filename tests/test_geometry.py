@@ -83,6 +83,14 @@ class TestValidation:
         assert rep.closed and rep.oriented
         assert not rep.outward
 
+    def test_overflowing_areas_reported_without_warnings(self, sphere3):
+        # coordinates near the float range: the cross products overflow
+        huge = geo.TriMesh(sphere3.vertices * 1e200, sphere3.triangles.copy())
+        with np.errstate(all="raise"):
+            rep = geo.validate(huge)
+        assert rep.closed and rep.oriented
+        assert rep.issues == ["non-finite triangle area (coordinates overflow)"]
+
 
 def _frozen_validate(mesh):
     # validate as it was before its edge counts were vectorized: one dict
