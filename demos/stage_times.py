@@ -1,13 +1,14 @@
 # # Stage times of one equilibrium solve and one batch of evaluations
 #
 # Times each stage of `bem.solve_equilibrium` (far-field, near-field and
-# self-integral parts of the assembly, the 1-norm, LU, condition estimate,
-# back substitution and the residual rows) and one `bem.eval_fields` call on
-# the sample points `verify` would scan, with `time.perf_counter`.  It also
-# prints the number of lanes the assembly's far field ran on (one per usable
-# core, as far as its scratch budget allows) and how many evaluation points
-# lay within the mesh's bounding sphere and so needed the winding-number
-# inside test; the last line is the process's peak RSS from `resource`.
+# self-integral parts of the assembly, the GMRES solve and the residual
+# rows) and one `bem.eval_fields` call on the sample points `verify` would
+# scan, with `time.perf_counter`.  It also prints the number of lanes the
+# assembly's far field ran on (one per usable core, as far as its scratch
+# budget allows), the GMRES iteration count and condition estimate, and how
+# many evaluation points lay within the mesh's bounding sphere and so
+# needed the winding-number inside test; the last line is the process's
+# peak RSS from `resource`.
 #
 #     python demos/stage_times.py LEVEL [--spheroid] [--samples N] [--seed S]
 #
@@ -21,7 +22,6 @@ import resource
 import time
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from capsym import bem, functionals as fn, geometry as geo
 
@@ -58,11 +58,9 @@ def main() -> None:
     times["assembly"] = times["far"] + times["near"] + times["diagonal"]
 
     # the rest of solve_equilibrium, in its order
-    anorm = stage("anorm", bem._one_norm, M)
-    lu, piv = stage("lu", lu_factor, M, overwrite_a=True)
-    (gecon,) = get_lapack_funcs(("gecon",), (lu,))
-    stage("gecon", gecon, lu, anorm, norm="1")
-    sigma = stage("lu_solve", lu_solve, (lu, piv), np.ones(F))
+    sigma, hbar = stage("gmres", bem._gmres, M, np.ones(F))
+    s = np.linalg.svd(hbar, compute_uv=False)
+    cond = float(s[0] / s[-1])
     rng = np.random.default_rng(0)
     sample = np.arange(F) if F <= 200 else np.sort(rng.choice(F, 200, replace=False))
     R = stage("residual", bem._single_layer_rows, mesh, sample, order)
@@ -70,7 +68,7 @@ def main() -> None:
 
     sol = bem.EquilibriumSolution(mesh=mesh, sigma=sigma, capacity=float(sigma @ mesh.areas),
                                   quad_order=order, residual_inf=residual,
-                                  cond_estimate=float("nan"), sigma_positive=True)
+                                  cond_estimate=cond, sigma_positive=bool(np.all(sigma > 0)))
     X = fn.sample_exterior_points(mesh, args.samples, args.seed)
     stage("eval_fields", bem.eval_fields, sol, X)
     tested = int(np.count_nonzero(bem._within_bounding_sphere(mesh, X)))
@@ -80,6 +78,7 @@ def main() -> None:
           f"{args.samples} evaluation points")
     print(f"  far-field lanes {lanes}; {tested} of {args.samples} evaluation points "
           "needed the inside test")
+    print(f"  GMRES iterations {hbar.shape[1]}; condition estimate {sol.cond_estimate:.3g}")
     for name, t in times.items():
         print(f"  {name:<12} {t:8.3f} s")
     print(f"  capacity     {sol.capacity:.17g}")

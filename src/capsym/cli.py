@@ -114,7 +114,7 @@ def cmd_capacity(args) -> int:
         "cap_flux": cap_flux,
         "panels": mesh.num_panels,
         "residual_inf": sol.residual_inf,
-        # good to a small factor; gecon's last digits vary from run to run
+        # a lower bound on the condition number, meaningful to a few digits
         "cond_estimate": float(f"{sol.cond_estimate:.3g}"),
         "sigma_positive": sol.sigma_positive,
     }

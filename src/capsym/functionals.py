@@ -75,7 +75,8 @@ def f1(fields: BoundaryFields, n: int) -> float:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return float(np.sum(fields.area * fields.du**2 * (fields.H - fields.du / (n - 2))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is reported
+        return float(np.sum(fields.area * fields.du**2 * (fields.H - fields.du / (n - 2))))
 
 
 def f1_scale(fields: BoundaryFields) -> float:
@@ -96,10 +97,11 @@ def f2(fields: BoundaryFields, capacity: float, n: int) -> tuple[float, float]:
         raise ValueError(f"need n >= 3, got {n}")
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
-    lhs = float(
-        np.sum(fields.area * fields.du**2
-               * ((n - 1) * fields.H - n * fields.du / (2.0 * (n - 2))))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is reported
+        lhs = float(
+            np.sum(fields.area * fields.du**2
+                   * ((n - 1) * fields.H - n * fields.du / (2.0 * (n - 2))))
+        )
     omega = unit_sphere_area(n)
     rhs = 0.5 * (n - 2) ** 3 * omega * (capacity / ((n - 2) * omega)) ** ((n - 4) / (n - 2))
     return lhs, rhs

@@ -48,13 +48,17 @@ def unit_sphere_area(n: int) -> float:
 def ball_capacity(n: int, R: float) -> float:
     """Electrostatic capacity of the ball of radius R in R^n, n >= 3.
 
-    Equals (n-2) omega_n R^(n-2); for n = 3 this is 4 pi R.
+    Equals (n-2) omega_n R^(n-2); for n = 3 this is 4 pi R.  Raises
+    ArithmeticError when that underflows to 0 or is not finite.
     """
     if n < 3:
         raise ValueError(f"capacity requires n >= 3, got {n}")
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
-    return (n - 2) * unit_sphere_area(n) * R ** (n - 2)
+    cap = (n - 2) * unit_sphere_area(n) * R ** (n - 2)
+    if not 0.0 < cap < math.inf:
+        raise ArithmeticError(f"ball capacity {cap} for n={n}, R={R} is beyond the float range")
+    return cap
 
 
 def radial_potential(n: int, R: float, x) -> tuple[float, np.ndarray, np.ndarray]:

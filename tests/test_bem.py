@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.spatial import cKDTree
 
-from capsym import bem, functionals as fn, geometry as geo, oracles
+from capsym import bem, cli, functionals as fn, geometry as geo, oracles
 
 FOUR_PI = 4.0 * math.pi
 
@@ -574,3 +575,87 @@ class TestInsideGate:
         msg = "evaluation point [0.1, 0.0, 0.0] lies inside the surface"
         with pytest.raises(ValueError, match=re.escape(msg)):
             bem.eval_fields(spheroid2_sol, X)
+
+
+# ---------------------------------------------------------------------------
+# the Krylov solve against the dense LU it replaced, frozen here as the
+# reference
+
+
+def _frozen_lu_solve(mesh, quad_order=6):
+    """sigma, capacity and gecon's 1-norm condition estimate of the dense
+    LU solve with partial pivoting."""
+    M = bem.assemble_single_layer(mesh, quad_order)
+    cols = max(1, bem._CHUNK // M.shape[0])
+    anorm = max(float(np.abs(M[:, start:start + cols]).sum(axis=0).max())
+                for start in range(0, M.shape[1], cols))
+    lu, piv = lu_factor(M, overwrite_a=True)
+    (gecon,) = get_lapack_funcs(("gecon",), (lu,))
+    rcond, info = gecon(lu, anorm, norm="1")
+    assert info == 0
+    sigma = lu_solve((lu, piv), np.ones(mesh.num_panels))
+    return sigma, float(sigma @ mesh.areas), 1.0 / float(rcond)
+
+
+def _moved_spheroid():
+    q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
+    return geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2).transformed(q, np.array([1.5, -0.4, 2.0]))
+
+
+KRYLOV_MESHES = {
+    "sphere-L2": lambda: geo.make_sphere_mesh(1.0, 2),
+    "sphere-L3": lambda: geo.make_sphere_mesh(1.0, 3),
+    "spheroid-L3": lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 3),
+    "moved-spheroid-L2": _moved_spheroid,
+    "bumpy-L2": lambda: geo.make_bumpy_sphere_mesh(1.0, 2),
+}
+LEVEL2 = ["sphere-L2", "moved-spheroid-L2", "bumpy-L2"]
+
+
+class TestKrylovSolve:
+    @pytest.mark.parametrize("name", list(KRYLOV_MESHES))
+    def test_matches_frozen_lu(self, name):
+        mesh = KRYLOV_MESHES[name]()
+        sol = bem.solve_equilibrium(mesh, 6)
+        sigma0, cap0, _ = _frozen_lu_solve(mesh)
+        assert np.abs(sol.sigma - sigma0).max() <= 1e-10 * np.abs(sigma0).max()
+        assert abs(sol.capacity - cap0) <= 1e-14 * cap0
+
+    @pytest.mark.parametrize("name", LEVEL2)
+    def test_true_residual_meets_tolerance(self, name):
+        mesh = KRYLOV_MESHES[name]()
+        sol = bem.solve_equilibrium(mesh, 6)
+        M = bem.assemble_single_layer(mesh, 6)
+        b = np.ones(mesh.num_panels)
+        # the tolerance up to the roundoff of forming M sigma
+        assert np.linalg.norm(b - M @ sol.sigma) <= 10 * bem._GMRES_RTOL * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("name", LEVEL2)
+    def test_cond_estimate_bounds_kappa2(self, name):
+        mesh = KRYLOV_MESHES[name]()
+        sol = bem.solve_equilibrium(mesh, 6)
+        M = bem.assemble_single_layer(mesh, 6)
+        kappa2 = np.linalg.cond(M / M.diagonal())
+        assert 0.5 * kappa2 <= sol.cond_estimate <= kappa2 * (1 + 1e-10)
+
+    def test_iteration_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(bem, "_GMRES_MAXITER", 2)
+        with pytest.raises(bem.SolverError, match="GMRES did not reach .* in 2 iterations"):
+            bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6)
+        assert cli.main(["capacity", "--shape", "sphere", "1", "3"]) == cli.EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "2 iterations" in err[0]
+
+    def test_nan_entry_raises(self, monkeypatch):
+        assemble = bem.assemble_single_layer
+
+        def with_nan(mesh, quad_order=6):
+            M = assemble(mesh, quad_order)
+            M[5, 17] = np.nan
+            return M
+
+        monkeypatch.setattr(bem, "assemble_single_layer", with_nan)
+        with pytest.raises(bem.SolverError, match="non-finite Krylov vector"):
+            bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6)

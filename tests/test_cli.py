@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,8 @@ MALFORMED = [
     # areas overflow
     (["oracle", "--shape", "sphere", "--dim", "400"], cli.EXIT_SOLVER),
     (["oracle", "--shape", "sphere", "1e300", "--dim", "5"], cli.EXIT_SOLVER),
+    (["oracle", "--shape", "sphere", "1e-300", "--dim", "5"], cli.EXIT_SOLVER),
+    (["oracle", "--shape", "sphere", "1e-300", "--dim", "3"], cli.EXIT_SOLVER),
     (["oracle", "--shape", "ellipsoid", "1e300", "1", "1"], cli.EXIT_SOLVER),
     (["capacity", "--shape", "sphere", "1e200", "0"], cli.EXIT_MESH),
 ]
@@ -351,6 +354,15 @@ class TestMalformedInput:
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dim", ["3", "5"])
+    def test_tiny_radius_oracle_warns_nothing(self, capsys, dim):
+        # R^(n-2) underflows at n = 5; |Du|^2 = 1/R^2 overflows at n = 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["oracle", "--shape", "sphere", "1e-300", "--dim", dim])
+        assert rc == cli.EXIT_SOLVER
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_overflowing_off_mesh_is_3(self, tmp_path, capsys):
         path = tmp_path / "huge.off"
