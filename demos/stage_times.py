@@ -1,14 +1,15 @@
 # # Stage times of one equilibrium solve and one batch of evaluations
 #
-# Times each stage of `bem.solve_equilibrium` (far-field, near-field and
-# self-integral parts of the assembly, the GMRES solve and the residual
-# rows) and one `bem.eval_fields` call on the sample points `verify` would
-# scan, with `time.perf_counter`.  It also prints the number of lanes the
-# assembly's far field ran on (one per usable core, as far as its scratch
-# budget allows), the GMRES iteration count and condition estimate, and how
-# many evaluation points lay within the mesh's bounding sphere and so
-# needed the winding-number inside test; the last line is the process's
-# peak RSS from `resource`.
+# Times `import capsym` in a fresh interpreter (the start-up every `capsym`
+# command pays), each stage of `bem.solve_equilibrium` (far-field,
+# near-field and self-integral parts of the assembly, the GMRES solve and
+# the residual matvec) and one `bem.eval_fields` call on the sample points
+# `verify` would scan, with `time.perf_counter`.  It also prints the
+# number of lanes the assembly's far field ran on (one per usable core, as
+# far as its scratch budget allows), the GMRES iteration count and
+# condition estimate, and how many evaluation points lay within the mesh's
+# bounding sphere and so needed the winding-number inside test; the last
+# line is the process's peak RSS from `resource`.
 #
 #     python demos/stage_times.py LEVEL [--spheroid] [--samples N] [--seed S]
 #
@@ -19,6 +20,8 @@
 
 import argparse
 import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -36,6 +39,9 @@ def main() -> None:
     args = ap.parse_args()
 
     times = {}
+    clock = "import time; t = time.perf_counter(); import capsym; print(time.perf_counter() - t)"
+    times["import"] = float(subprocess.run([sys.executable, "-c", clock], capture_output=True,
+                                           text=True, check=True).stdout)
 
     def stage(name, f, *a, **kw):
         t0 = time.perf_counter()
@@ -59,12 +65,10 @@ def main() -> None:
 
     # the rest of solve_equilibrium, in its order
     sigma, hbar = stage("gmres", bem._gmres, M, np.ones(F))
+    residual = float(np.max(np.abs(stage("residual", np.matmul, M, sigma) - 1.0)))
+    del M
     s = np.linalg.svd(hbar, compute_uv=False)
     cond = float(s[0] / s[-1])
-    rng = np.random.default_rng(0)
-    sample = np.arange(F) if F <= 200 else np.sort(rng.choice(F, 200, replace=False))
-    R = stage("residual", bem._single_layer_rows, mesh, sample, order)
-    residual = float(np.max(np.abs(R @ sigma - 1.0)))
 
     sol = bem.EquilibriumSolution(mesh=mesh, sigma=sigma, capacity=float(sigma @ mesh.areas),
                                   quad_order=order, residual_inf=residual,

@@ -8,11 +8,15 @@ equilibrium charge density, its integral is the capacity, and off-surface
 potentials, gradients and Hessians come from differentiating the kernel
 under the integral.
 
-One kernel, `_single_layer_rows`, builds any rows of the matrix for both
-assembly and the residual check: diagonal entries by the exact integral of
-1/r over a planar triangle from its centroid, near-diagonal entries by one
-level of 4:1 panel subdivision.  One batched `eval_fields` gives u, Du and
-D2u off the surface; every other evaluation goes through it.
+One kernel, `_single_layer_rows`, builds any rows of the matrix: diagonal
+entries by the exact integral of 1/r over a planar triangle from its
+centroid, near-diagonal entries by one level of 4:1 panel subdivision.
+The near pairs are found on a uniform grid of cubes whose side is twice
+the longest edge (`_near_pairs`): a pair can only join centroids in
+neighbouring cubes, and sorting the centroids by cube makes each column
+of three cubes one contiguous run.  Only numpy is imported; scipy is
+not needed to solve or evaluate.  One batched `eval_fields` gives u, Du
+and D2u off the surface; every other evaluation goes through it.
 """
 
 from __future__ import annotations
@@ -24,13 +28,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; perfbench/tracer.py traces these two names in this module
-from scipy.linalg import lu_factor, lu_solve  # noqa: F401
-from scipy.spatial import cKDTree
 
 from .geometry import MeshError, TriMesh, _unit_icosphere, require_valid
 
 FOUR_PI = 4.0 * math.pi
+
+
+def __getattr__(name):
+    # scipy's LU, which the solver does not use, resolved on first access
+    # only for perfbench/tracer.py, which traces these two names here
+    if name in ("lu_factor", "lu_solve"):
+        import scipy.linalg
+        return getattr(scipy.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # element budget of one kernel temporary.  The kernel loops keep the three
 # coordinates in separate contiguous planes and cut their work into chunks
@@ -279,14 +290,72 @@ def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
     _each_chunk(chunk, range(0, F, cols), lanes)
 
 
+def _near_pairs(a, b, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (p, q) with |a[p] - b[q]| <= radius, in no particular order:
+    the pair set of scipy's `cKDTree.sparse_distance_matrix`, from a
+    uniform grid of cubes.
+
+    Both point sets fall into cubes of side radius, enlarged by 2^-20 so
+    that rounding in the cube coordinates (below 2^-21 of a cube while the
+    points span fewer than 2^30 cubes) cannot part a pair at distance
+    radius by two cubes.  On each axis the occupied cube coordinates are
+    renumbered in order, a step of one cube kept and every wider gap
+    shrunk to two: neighbouring cubes stay neighbours, others stay apart,
+    and however far apart the points lie, each axis spans fewer than
+    2N + 2 cubes (N = len(a) + len(b)), so the key (x, y, z) of a cube
+    fits in int64 for N below a million.  b is sorted by that key, so a
+    column of three cubes along z is one contiguous run: each point of a
+    finds its 27 neighbouring cubes as 9 `searchsorted` ranges, and the
+    candidates of each of the 9 column offsets are filtered by distance
+    before the next offset is searched.
+    """
+    a = np.asarray(a, dtype=float)
+    pts = np.concatenate([a, np.asarray(b, dtype=float)])
+    n = len(a)
+    side = radius * (1.0 + 2.0**-20)
+    cube = np.empty(pts.shape, dtype=np.int64)
+    for k in range(3):
+        c, at = np.unique(np.floor((pts[:, k] - pts[:, k].min()) / side), return_inverse=True)
+        steps = np.minimum(np.diff(c), 2.0).astype(np.int64)
+        # from 1, so that the cubes just below and above every column exist
+        cube[:, k] = np.concatenate(([1], 1 + np.cumsum(steps)))[at]
+    _, ny, nz = cube.max(axis=0) + 2
+    key = (cube[:, 0] * ny + cube[:, 1]) * nz + cube[:, 2]
+    order = np.argsort(key[n:], kind="stable")
+    key_a, key_b = key[:n], key[n:][order]
+    # coordinate planes, b's in key order
+    (ax, ay, az), (bx, by, bz) = a.T.copy(), pts[n:][order].T.copy()
+    r2 = radius * radius
+    found_p, found_q = [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            mid = key_a + (dx * ny + dy) * nz
+            start = np.searchsorted(key_b, mid - 1, side="left")
+            count = np.searchsorted(key_b, mid + 1, side="right") - start
+            p = np.repeat(np.arange(n), count)
+            at = np.arange(len(p)) + np.repeat(start - np.cumsum(count) + count, count)
+            # summed x, y, z in that order, as cKDTree does
+            d = np.square(ax[p] - bx[at])
+            d += np.square(ay[p] - by[at])
+            d += np.square(az[p] - bz[at])
+            near = d <= r2
+            found_p.append(p[near])
+            found_q.append(order[at[near]])
+    return np.concatenate(found_p), np.concatenate(found_q)
+
+
 def _near_entries(out, mesh: TriMesh, rows, order: int) -> None:
     """Overwrite the near-diagonal entries of `out` by one level of 4:1
-    subdivision, in chunks of candidate pairs."""
+    subdivision, in chunks of candidate pairs.
+
+    The candidates are the (row, panel) pairs whose centroids lie within
+    twice the mesh's longest edge, found by `_near_pairs` on a grid of
+    cubes of that side; of these, a pair is near when its separation is
+    below twice the longest edge of its own panel T_j.
+    """
     cen = mesh.centroids
     max_edge = mesh.edge_lengths.max(axis=1)
-    near = cKDTree(cen[rows]).sparse_distance_matrix(
-        cKDTree(cen), 2.0 * float(max_edge.max()), output_type="ndarray")
-    r, j = near["i"], near["j"]
+    r, j = _near_pairs(cen[rows], cen, 2.0 * float(max_edge.max()))
     i = rows[r]
     keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
     r, i, j = r[keep], i[keep], j[keep]
@@ -398,13 +467,12 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
     matrix M diag(M)^-1 that comes with the solve (first-kind
     conditioning grows like 1/h).  Refuses to return results when it
     exceeds cond_limit, or when GMRES does not converge; refine or coarsen
-    instead of trusting noise.  The collocation residual is checked on a
-    deterministic sample of rows rebuilt by the assembly kernel, so no
-    second matrix copy is needed.
+    instead of trusting noise.  The collocation residual is checked on
+    every row by one matrix-vector product before the matrix is freed.
     """
     M = assemble_single_layer(mesh, quad_order)
-    F = mesh.num_panels
-    sigma, hbar = _gmres(M, np.ones(F))
+    sigma, hbar = _gmres(M, np.ones(mesh.num_panels))
+    residual = float(np.max(np.abs(M @ sigma - 1.0)))
     del M
     s = np.linalg.svd(hbar, compute_uv=False)
     cond = float(s[0] / s[-1])
@@ -414,12 +482,6 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
             "change the refinement level"
         )
     capacity = float(sigma @ mesh.areas)
-
-    # residual on a deterministic row sample
-    rng = np.random.default_rng(0)
-    rows = np.arange(F) if F <= 200 else np.sort(rng.choice(F, 200, replace=False))
-    residual = float(np.max(np.abs(_single_layer_rows(mesh, rows, quad_order) @ sigma - 1.0)))
-
     return EquilibriumSolution(
         mesh=mesh,
         sigma=sigma,

@@ -13,7 +13,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 
 def _gamma_half_integer(m: int) -> float:
@@ -120,6 +119,8 @@ def ellipsoid_capacity(a: float, b: float, c: float) -> float:
     """
     if min(a, b, c) <= 0:
         raise ValueError(f"semi-axes must be positive, got ({a}, {b}, {c})")
+    # imported here, so that the commands that never call this load no scipy
+    from scipy.integrate import IntegrationWarning, quad
 
     def integrand(t: float) -> float:
         s = t / (1.0 - t)

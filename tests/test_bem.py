@@ -400,6 +400,62 @@ def _moved_scaled_spheroid():
         q, np.array([0.3, -1.2, 0.7])).scaled(2.5)
 
 
+def _kd_pairs(a, b, radius):
+    near = cKDTree(a).sparse_distance_matrix(cKDTree(b), radius, output_type="ndarray")
+    return np.stack([near["i"], near["j"]])
+
+
+def _pair_points(case):
+    """Points a, b and a radius for the near-pair search."""
+    rng = np.random.default_rng(13)
+    if case == "planar":
+        # zero extent along y
+        b = rng.uniform(-1.0, 1.0, size=(400, 3))
+        b[:, 1] = 0.25
+        return b[:150], b, 0.1
+    if case == "cube-edge":
+        # x = 1 - 2^-53 and x = 2 are 1.0 apart in floating point, yet
+        # their quotients by a side of 1.0 floor to 0 and 2
+        b = np.array([[0.0, 9.0, 9.0], [1.0 - 2.0**-53, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        return b, b, 1.0
+    if case == "clusters-1e30":
+        # cube indices near 1e33 along x, beyond int64
+        near = rng.uniform(0.0, 0.02, size=(300, 3))
+        b = np.concatenate([near, near + [1e30, 0.0, 0.0]])
+        return b, b, 1e-3
+    mesh = {"sphere-L3": lambda: geo.make_sphere_mesh(1.0, 3),
+            "moved+scaled": _moved_scaled_spheroid,
+            "bumpy": lambda: geo.make_bumpy_sphere_mesh(1.0, 2)}.get(
+                case, lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2))()
+    cen, F = mesh.centroids, mesh.num_panels
+    rows = {"unsorted-57": rng.permutation(F)[:57], "single": np.array([F // 3])}.get(
+        case, np.arange(F))
+    return cen[rows], cen, 2.0 * float(mesh.edge_lengths.max())
+
+
+class TestNearPairs:
+    @pytest.mark.parametrize("case", ["sphere-L3", "moved+scaled", "bumpy", "unsorted-57",
+                                      "single", "planar", "cube-edge", "clusters-1e30"])
+    # no cube index may overflow a cast
+    @pytest.mark.filterwarnings("error")
+    def test_pairs_equal_kd_tree(self, case):
+        a, b, radius = _pair_points(case)
+        p, q = bem._near_pairs(a, b, radius)
+        got = np.stack([p, q])
+        want = _kd_pairs(a, b, radius)
+        assert want.shape[1] > len(a)
+        # each pair once, and the same pairs as the tree's
+        assert np.unique(got, axis=1).shape == got.shape
+        assert np.array_equal(np.unique(got, axis=1), np.unique(want, axis=1))
+
+    def test_far_cluster_keeps_its_pairs(self):
+        a, b, radius = _pair_points("clusters-1e30")
+        p, q = bem._near_pairs(a, b, radius)
+        far = len(b) // 2
+        # the far cluster's pairs, apart from each point with itself
+        assert np.count_nonzero((p >= far) & (q >= far) & (p != q)) > 0
+
+
 class TestCacheSizedKernels:
     @pytest.mark.parametrize("budget", ["default", "small"])
     @pytest.mark.parametrize("subset", ["unsorted", "single", "chunk+1", "all"])
@@ -457,7 +513,7 @@ class TestLanes:
         mesh = _moved_scaled_spheroid()
         F = mesh.num_panels
         rows = {"all": np.arange(F),
-                # the residual check's row sample
+                # the 200 sorted rows the residual check once rebuilt
                 "residual": np.sort(np.random.default_rng(0).choice(F, 200, replace=False))}[sample]
         # three lanes of one panel a chunk, one lane of three or four:
         # hundreds of chunks on another grid at each lane count
@@ -637,6 +693,20 @@ class TestKrylovSolve:
         M = bem.assemble_single_layer(mesh, 6)
         kappa2 = np.linalg.cond(M / M.diagonal())
         assert 0.5 * kappa2 <= sol.cond_estimate <= kappa2 * (1 + 1e-10)
+
+    @pytest.mark.parametrize("name", list(KRYLOV_MESHES))
+    def test_full_residual_covers_row_sample(self, name):
+        mesh = KRYLOV_MESHES[name]()
+        sol = bem.solve_equilibrium(mesh, 6)
+        M = bem.assemble_single_layer(mesh, 6)
+        assert sol.residual_inf == np.abs(M @ sol.sigma - 1.0).max()
+        # the residual as it was measured before: 200 seeded rows, rebuilt
+        rows = np.sort(np.random.default_rng(0).choice(mesh.num_panels, 200, replace=False))
+        R = bem._single_layer_rows(mesh, rows, 6)
+        sampled = np.abs(R @ sol.sigma - 1.0).max()
+        rounding = math.sqrt(mesh.num_panels) * np.finfo(float).eps * (
+            np.abs(R) @ np.abs(sol.sigma)).max()
+        assert sol.residual_inf >= sampled - rounding
 
     def test_iteration_cap(self, monkeypatch, capsys):
         monkeypatch.setattr(bem, "_GMRES_MAXITER", 2)

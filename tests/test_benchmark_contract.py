@@ -34,3 +34,14 @@ def test_install_restores_every_binding(tracer):
     finally:
         t.uninstall()
     assert [{k: id(v) for k, v in vars(m).items()} for m in modules] == before
+
+
+def test_lu_names_resolve_lazily_to_scipy():
+    # the solver uses no LU; `bem` hands the traced names over from scipy
+    # on access and keeps them out of its namespace
+    import scipy.linalg
+    bem = importlib.import_module("capsym.bem")
+    assert bem.lu_factor is scipy.linalg.lu_factor and bem.lu_solve is scipy.linalg.lu_solve
+    assert "lu_factor" not in vars(bem) and "lu_solve" not in vars(bem)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bem.no_such_name

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -551,3 +554,68 @@ def _identity_check_reference(dims, points, seed, inject_fault):
                      f"{'ok' if f2_ok else 'FAIL'}")
 
     return "\n".join(lines) + "\n", 0 if all_ok else 1
+
+
+# runs `capsym` with argv[1:] in a process where every import of scipy
+# raises ImportError, and fails if one was attempted, even if caught
+_NO_SCIPY = """
+import sys
+
+attempted = []
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            attempted.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from capsym import cli
+
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+if attempted:
+    sys.exit(f"scipy imports attempted: {attempted}")
+sys.exit(code)
+"""
+
+
+def _capsym(argv, block_scipy):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = _NO_SCIPY if block_scipy else \
+        "import sys; from capsym import cli; sys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestScipyFreeCommands:
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["identity-check", "--dims", "3", "--points", "2"],
+        ["oracle", "--shape", "sphere", "1"],
+        ["verify", "--shape", "sphere", "1", "1", "--samples", "4"],
+        ["verify", "--mesh", "SPHEROID_OFF"],
+        ["capacity", "--shape", "bumpy", "1", "1"],
+    ], ids=["help", "identity-check", "oracle-sphere", "verify-sphere", "verify-mesh",
+            "capacity-bumpy"])
+    def test_runs_without_scipy(self, argv, tmp_path):
+        off = tmp_path / "spheroid.off"
+        geo.save_off(geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 1), off)
+        done = _capsym([str(off) if a == "SPHEROID_OFF" else a for a in argv], block_scipy=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout
+
+    def test_ellipsoid_oracle_needs_scipy(self):
+        # the blocker works: the ellipsoid capacity integral needs scipy
+        assert "scipy" in _capsym(["oracle", "--shape", "ellipsoid", "2", "1", "1"],
+                                  block_scipy=True).stderr
+        done = _capsym(["oracle", "--shape", "ellipsoid", "2", "1", "1"], block_scipy=False)
+        assert done.returncode == 0, done.stderr
+        # the value printed when scipy was imported with the package
+        assert json.loads(done.stdout)["capacity"] == 16.527174043780974
