@@ -3,8 +3,11 @@
 # Times `import capsym` in a fresh interpreter (the start-up every `capsym`
 # command pays), each stage of `bem.solve_equilibrium` (far-field,
 # near-field and self-integral parts of the assembly, the GMRES solve and
-# the residual matvec) and one `bem.eval_fields` call on the sample points
-# `verify` would scan, with `time.perf_counter`.  It also prints the
+# the residual matvec), one `bem.eval_fields` call on the sample points
+# `verify` would scan and one `functionals._scan` of those points (the same
+# evaluation plus the v-transform, Newton deficit and pbv residual, so the
+# difference of the two rows is the scan's own cost), with
+# `time.perf_counter`.  It also prints the
 # number of lanes the assembly's far field ran on (one per usable core, as
 # far as its scratch budget allows), the GMRES iteration count and
 # condition estimate, and how many evaluation points lay within the mesh's
@@ -75,6 +78,7 @@ def main() -> None:
                                   cond_estimate=cond, sigma_positive=bool(np.all(sigma > 0)))
     X = fn.sample_exterior_points(mesh, args.samples, args.seed)
     stage("eval_fields", bem.eval_fields, sol, X)
+    stage("scan", fn._scan, sol, X)
     tested = int(np.count_nonzero(bem._within_bounding_sphere(mesh, X)))
 
     shape = "spheroid 2:1:1" if args.spheroid else "sphere R=1.3"

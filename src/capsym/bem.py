@@ -529,6 +529,7 @@ def _within_bounding_sphere(mesh: TriMesh, X) -> np.ndarray:
     return np.linalg.norm(X - mesh.center, axis=1) <= mesh.bounding_radius
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is the caller's to report
 def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u (P,), Du (P, 3) and D2u (P, 3, 3) at the exterior points X (P, 3).
 

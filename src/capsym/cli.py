@@ -232,7 +232,7 @@ def _csv(rows, header: list[str]) -> str:
 
 def _echo_config(args, src: dict, level) -> dict:
     cfg = {"subcommand": args.command, **src, "level": level}
-    for key in ("quad_order", "far_mult", "seed", "samples", "format"):
+    for key in ("quad_order", "far_mult", "seed", "samples", "discrete_curvature", "format"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg

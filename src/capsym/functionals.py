@@ -130,40 +130,41 @@ def lower_bound_n3(capacity: float, fields: BoundaryFields) -> tuple[float, floa
 
 
 # ---------------------------------------------------------------------------
-# v-transform and auxiliary PDE
+# v-transform and auxiliary PDE, each at one point or at a stack of P points
 
 
-def v_transform(u: float, Du, D2u, n: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Map (u, Du, D2u) to (v, Dv, D2v) for v = u^(-2/(n-2)).
+def v_transform(u, Du, D2u, n: int):
+    """Map (u, Du, D2u) to (v, Dv, D2v) for v = u^(-2/(n-2)); u, Du and D2u
+    have shapes (), (n,) and (n, n), or (P,), (P, n) and (P, n, n).
 
     Dv  = -2/(n-2) u^(-n/(n-2)) Du
     D2v = -2/(n-2) u^(-n/(n-2)) D2u + 2n/(n-2)^2 u^(-(2n-2)/(n-2)) Du x Du
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if u <= 0:
-        raise ValueError(f"u must be positive, got {u}")
-    Du = np.asarray(Du, dtype=float)
+    if np.any(np.asarray(u) <= 0):
+        raise ValueError(f"u must be positive, got {np.min(u)}")
     D2u = symfun.symmetrize(D2u)
     m = n - 2
-    v = u ** (-2.0 / m)
-    a = -2.0 / m * u ** (-n / m)
-    Dv = a * Du
-    D2v = a * D2u + (2.0 * n / m**2) * u ** (-(2.0 * n - 2.0) / m) * np.outer(Du, Du)
-    return v, Dv, D2v
+    # float_power is the C pow per element, as for a float; np.power may use SVML
+    a = (-2.0 / m * np.float_power(u, -n / m))[..., None]
+    c = (2.0 * n / m**2) * np.float_power(u, -(2.0 * n - 2.0) / m)
+    D2v = a[..., None] * D2u + c[..., None, None] * np.einsum("...i,...j->...ij", Du, Du)
+    return np.float_power(u, -2.0 / m), a * Du, D2v
 
 
-def pbv_residual(v: float, Dv, D2v, n: int) -> float:
+def pbv_residual(v, Dv, D2v, n: int):
     """Residual Tr(D2v) - (n/2) |Dv|^2 / v of the auxiliary PDE for v.
 
     Vanishes identically when the inputs come from a harmonic u through
     v_transform.
     """
-    if v <= 0:
-        raise ValueError(f"v must be positive, got {v}")
+    if np.any(np.asarray(v) <= 0):
+        raise ValueError(f"v must be positive, got {np.min(v)}")
     Dv = np.asarray(Dv, dtype=float)
     D2v = symfun.symmetrize(D2v)
-    return float(np.trace(D2v) - (n / 2.0) * (Dv @ Dv) / v)
+    Dv2 = np.matmul(Dv[..., None, :], Dv[..., :, None])[..., 0, 0]  # rounds as Dv @ Dv
+    return np.trace(D2v, axis1=-2, axis2=-1) - (n / 2.0) * Dv2 / v
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +191,12 @@ def _scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndarray, f
     """(sup, per-point values) of the normalized Newton deficit and the max
     relative pbv residual, from one batched evaluation of u, Du and D2u."""
     n = 3  # the BEM solution is a potential in R^3
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    deficits, residuals = np.empty(len(pts)), np.empty(len(pts))
-    for k, (u, Du, D2u) in enumerate(zip(*eval_fields(sol, pts))):
-        v, Dv, D2v = v_transform(u, Du, D2u, n)
-        deficits[k] = symfun.newton_deficit(D2v) / float(np.trace(D2v)) ** 2
-        residuals[k] = abs(pbv_residual(v, Dv, D2v, n)) / ((n / 2.0) * float(Dv @ Dv) / v)
-    return float(np.max(deficits)), deficits, float(np.max(residuals, initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN is reported
+        v, Dv, D2v = v_transform(*eval_fields(sol, np.atleast_2d(sample_points)), n)
+        deficits = symfun.newton_deficit(D2v) / np.float_power(D2v.trace(axis1=1, axis2=2), 2)
+        Dv2 = np.matmul(Dv[:, None, :], Dv[:, :, None])[:, 0, 0]
+        residuals = np.abs(pbv_residual(v, Dv, D2v, n)) / ((n / 2.0) * Dv2 / v)
+        return float(np.max(deficits)), deficits, float(np.max(residuals, initial=0.0))
 
 
 def newton_scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndarray]:
@@ -205,8 +205,7 @@ def newton_scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndar
     deficit / Tr(D2v)^2 is scale-free; the sup over points is the
     symmetry discriminator (zero exactly for balls).
     """
-    sup, deficits, _ = _scan(sol, sample_points)
-    return sup, deficits
+    return _scan(sol, sample_points)[:2]
 
 
 def pbv_scan(sol: EquilibriumSolution, sample_points) -> float:

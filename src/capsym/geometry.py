@@ -69,8 +69,16 @@ class TriMesh:
 
     @cached_property
     def areas(self) -> np.ndarray:
-        """Per-triangle areas."""
-        return 0.5 * np.linalg.norm(self._cross, axis=1)
+        """Per-triangle areas.
+
+        Each cross product is scaled by a power of two that brings its
+        largest component into [1/2, 1) before the norm is taken, so the
+        sum of squares neither overflows nor underflows while the area is
+        representable; the scaling is exact, so the rounding is that of
+        the unscaled norm.
+        """
+        exp = np.frexp(np.max(np.abs(self._cross), axis=1, initial=0.0))[1]
+        return 0.5 * np.ldexp(np.linalg.norm(np.ldexp(self._cross, -exp[:, None]), axis=1), exp)
 
     @cached_property
     def normals(self) -> np.ndarray:

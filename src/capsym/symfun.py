@@ -19,13 +19,12 @@ _MINOR_ENUM_MAX_N = 6
 
 
 def symmetrize(A) -> np.ndarray:
-    """Return the symmetric part (A + A^T)/2 as a float array, validating shape."""
+    """Symmetric part (A + A^T)/2 of a square matrix or of each in a stack
+    (..., n, n), as floats; the shape is validated, non-finite entries pass."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    return 0.5 * (A + A.T)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def sym_elementary(A, k: int) -> float:
@@ -36,7 +35,7 @@ def sym_elementary(A, k: int) -> float:
     coefficients otherwise.
     """
     A = symmetrize(A)
-    n = A.shape[0]
+    n, _ = A.shape  # one matrix: a stack fails to unpack
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == 1:
@@ -61,8 +60,8 @@ def s2_tensor(A) -> np.ndarray:
     the contraction identity S_2(A) = (1/2) sum_ij S^2_ij a_ij.
     """
     A = symmetrize(A)
-    tr = np.trace(A)
-    return tr * np.eye(A.shape[0]) - A
+    n, _ = A.shape  # one matrix: a stack fails to unpack
+    return np.trace(A) * np.eye(n) - A
 
 
 def s2_quadratic_form(A, w) -> float:
@@ -74,8 +73,8 @@ def s2_quadratic_form(A, w) -> float:
     return float((w @ w) * np.trace(A) - w @ A @ w)
 
 
-def newton_deficit(A) -> float:
-    """Deficit (n-1)/(2n) Tr(A)^2 - S_2(A) of the Newton inequality.
+def newton_deficit(A):
+    """Deficit (n-1)/(2n) Tr(A)^2 - S_2(A) of the Newton inequality, per matrix of a stack.
 
     Computed as (1/2) ||A - (Tr(A)/n) I||_F^2, which equals the deficit
     and is nonnegative by construction, without the cancellation of the
@@ -84,8 +83,9 @@ def newton_deficit(A) -> float:
     as a reference.
     """
     A = symmetrize(A)
-    dev = A - (np.trace(A) / A.shape[0]) * np.eye(A.shape[0])
-    return 0.5 * float(np.sum(dev * dev))
+    n = A.shape[-1]
+    dev = A - (np.trace(A, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n)
+    return 0.5 * np.sum((dev * dev).reshape(*A.shape[:-2], n * n), axis=-1)
 
 
 def is_identity_multiple(A, tol: float) -> bool:
@@ -96,7 +96,7 @@ def is_identity_multiple(A, tol: float) -> bool:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     A = symmetrize(A)
-    n = A.shape[0]
+    n, _ = A.shape  # one matrix: a stack fails to unpack
     dev = A - (np.trace(A) / n) * np.eye(n)
     scale = max(1.0, float(np.max(np.abs(A))))
     return float(np.max(np.abs(dev))) <= tol * scale

@@ -112,6 +112,16 @@ class TestCapacity:
 
 
 class TestVerify:
+    def test_config_echoes_discrete_curvature(self, tmp_path):
+        configs = []
+        for flag in ([], ["--discrete-curvature"]):
+            out = tmp_path / "v.json"
+            assert run(["verify", "--shape", "sphere", "1", "2", "--samples", "4", *flag,
+                        "--output", str(out)]) == 0
+            configs.append(json.loads(out.read_text())["config"])
+        assert configs[0] != configs[1]
+        assert [c["discrete_curvature"] for c in configs] == [False, True]
+
     def test_sphere_verdict_true(self, tmp_path):
         out = tmp_path / "v.json"
         assert run(["verify", "--shape", "sphere", "1", "2",
@@ -392,6 +402,36 @@ class TestMalformedInput:
         assert [row.split()[0] for row in rows] == ["n=3", "n=4", "n=5", "n=6"]
         for row in rows:
             assert "-> 0 FAIL;" in row and row.endswith("FAIL")
+
+
+class TestExtremeRadius:
+    """Radii far from 1 in a problem that is scale-invariant: each area and
+    the capacity are representable, so `capacity` succeeds.  `verify` names
+    a NaN in the report instead: Tr(D2v)^2 underflows at 1e100, and the D2u
+    kernel overflows at 1e-100.  Neither prints a warning."""
+
+    @pytest.mark.parametrize("R", [1e100, 1e-100])
+    def test_capacity_scales_with_the_radius(self, tmp_path, capsys, R):
+        out, unit = tmp_path / "cap.json", tmp_path / "unit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["capacity", "--shape", "sphere", repr(R), "2", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(["capacity", "--shape", "sphere", "1", "2", "--output", str(unit)]) == 0
+        scaled, base = json.loads(out.read_text()), json.loads(unit.read_text())
+        for key in ("cap_charge", "cap_asymptotic", "cap_flux"):
+            assert scaled[key] == pytest.approx(R * base[key], rel=1e-12)
+
+    @pytest.mark.parametrize("R", ["1e100", "1e-100"])
+    def test_verify_names_the_non_finite_key(self, tmp_path, capsys, R):
+        out = tmp_path / "v.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["verify", "--shape", "sphere", R, "2", "--output", str(out)])
+        assert rc == cli.EXIT_SOLVER
+        assert capsys.readouterr().err == \
+            "error: non-finite value nan at key 'newton_sup_deficit'\n"
+        assert not out.exists()
 
 
 class TestShapeTable:

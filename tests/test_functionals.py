@@ -269,6 +269,61 @@ class TestSharedScan:
         assert report.pbv_max_residual == fn.pbv_scan(spheroid3_sol, pts)
 
 
+def scan_point_by_point(sol, pts):
+    """The scan as a loop over points in scalar arithmetic: numpy-scalar
+    powers, np.outer, a 1-d dot and the sum of a 3 x 3 array per point."""
+    n, m = 3, 1  # m = n - 2
+    deficits, residuals = [], []
+    for u, Du, D2u in zip(*bem.eval_fields(sol, pts)):
+        D2u = 0.5 * (D2u + D2u.T)
+        v = u ** (-2.0 / m)
+        a = -2.0 / m * u ** (-n / m)
+        Dv = a * Du
+        D2v = a * D2u + (2.0 * n / m**2) * u ** (-(2.0 * n - 2.0) / m) * np.outer(Du, Du)
+        dev = D2v - (np.trace(D2v) / n) * np.eye(n)
+        deficits.append(0.5 * float(np.sum(dev * dev)) / float(np.trace(D2v)) ** 2)
+        q = (n / 2.0) * float(Dv @ Dv) / v
+        residuals.append(abs(float(np.trace(D2v) - q)) / q)
+    return max(deficits), np.array(deficits), max(residuals)
+
+
+class TestBatchedAlgebra:
+    def test_stack_is_bitwise_a_loop_of_points(self):
+        rng = np.random.default_rng(13)
+        P = 48
+        for n in (3, 4, 5):
+            u = rng.uniform(0.05, 1.0, size=P)
+            Du = rng.normal(size=(P, n))
+            D2u = rng.normal(size=(P, n, n))  # not symmetric: v_transform symmetrizes
+            stack = fn.v_transform(u, Du, D2u, n)
+            residuals = fn.pbv_residual(*stack, n)
+            deficits = symfun.newton_deficit(stack[2])
+            assert [x.shape for x in stack] == [(P,), (P, n), (P, n, n)]
+            for k in range(P):
+                one = fn.v_transform(float(u[k]), Du[k], D2u[k], n)
+                for whole, part in zip(stack, one):
+                    assert np.array_equal(whole[k], part)
+                assert residuals[k] == fn.pbv_residual(*one, n)
+                v, Dv, D2v = one  # and |Dv|^2 rounds as the 1-d dot does
+                assert residuals[k] == np.trace(D2v) - (n / 2.0) * (Dv @ Dv) / v
+                assert deficits[k] == symfun.newton_deficit(one[2])
+
+    def test_stack_rejects_one_nonpositive_u(self):
+        u = np.array([0.5, -1e-3, 0.7])
+        with pytest.raises(ValueError, match="positive"):
+            fn.v_transform(u, np.ones((3, 3)), np.zeros((3, 3, 3)), 3)
+
+    @pytest.mark.parametrize("shape", ["spheroid3", "bumpy2"])
+    def test_scan_is_bitwise_the_point_loop(self, shape, spheroid3_sol):
+        sol = spheroid3_sol if shape == "spheroid3" else \
+            bem.solve_equilibrium(geo.make_bumpy_sphere_mesh(1.0, 2), 6)
+        pts = fn.sample_exterior_points(sol.mesh, 512, 7)
+        sup, deficits, pbv = fn._scan(sol, pts)
+        ref_sup, ref_deficits, ref_pbv = scan_point_by_point(sol, pts)
+        assert np.array_equal(deficits, ref_deficits)
+        assert (sup, pbv) == (ref_sup, ref_pbv)
+
+
 class TestJsonNonFinite:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
     def test_rejects_non_finite_naming_key(self, bad):

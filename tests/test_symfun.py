@@ -157,6 +157,35 @@ class TestNewtonDeficit:
                 assert symfun.is_identity_multiple(A, 1e-10)
 
 
+class TestStacks:
+    def test_newton_deficit_of_a_stack_is_bitwise_each_matrix(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 5):
+            A = rng.normal(size=(4, 6, n, n)) * rng.uniform(0.1, 10.0, size=(4, 6, 1, 1))
+            d = symfun.newton_deficit(A)
+            assert d.shape == (4, 6)
+            for idx in np.ndindex(4, 6):
+                assert d[idx] == symfun.newton_deficit(A[idx])
+
+    def test_symmetrize_transposes_each_matrix(self):
+        A = np.arange(18.0).reshape(2, 3, 3)
+        S = symfun.symmetrize(A)
+        for k in range(2):
+            assert np.array_equal(S[k], symfun.symmetrize(A[k]))
+            assert np.array_equal(S[k], S[k].T)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_symmetrize_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            symfun.symmetrize(np.zeros(shape))
+
+    @pytest.mark.parametrize("name", ["sym_elementary", "s2_tensor", "is_identity_multiple"])
+    def test_one_matrix_functions_reject_a_stack(self, name):
+        args = {"sym_elementary": (2,), "s2_tensor": (), "is_identity_multiple": (1e-9,)}[name]
+        with pytest.raises(ValueError):
+            getattr(symfun, name)(np.eye(3) * np.ones((3, 1, 1)), *args)
+
+
 class TestIsIdentityMultiple:
     def test_exact_multiple(self):
         assert symfun.is_identity_multiple(3.7 * np.eye(4), 1e-12)
