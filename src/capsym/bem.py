@@ -404,14 +404,15 @@ _GMRES_RTOL = 1e-14
 _GMRES_MAXITER = 200
 
 
-def _gmres(M, b) -> tuple[np.ndarray, np.ndarray]:
+def _gmres(matvec, diagonal, b) -> tuple[np.ndarray, np.ndarray]:
     """x with ||b - M x||_2 <= _GMRES_RTOL ||b||_2, and the Arnoldi matrix.
 
     Full (unrestarted) GMRES from x = 0 on M D^-1 y = b, x = D^-1 y, with
-    D = diag(M) (Saad & Schultz 1986).  Right preconditioning leaves the
-    residual that GMRES minimises equal to b - M x.  Arnoldi applies
-    classical Gram-Schmidt twice and builds the (k+1, k) Hessenberg matrix
-    Hbar = V_{k+1}^T M D^-1 V_k.  The Givens rotations that would reduce
+    D = diag(M) (Saad & Schultz 1986), reaching M only through
+    `matvec(x)` = M x and `diagonal` = diag(M).  Right preconditioning
+    leaves the residual that GMRES minimises equal to b - M x.  Arnoldi
+    applies classical Gram-Schmidt twice and builds the (k+1, k) Hessenberg
+    matrix Hbar = V_{k+1}^T M D^-1 V_k.  The Givens rotations that would reduce
     it to triangular form give the least-squares residual, beta times the
     product of their sines; once that meets the tolerance, y minimises
     ||beta e_1 - Hbar y||.  Returns x and Hbar; raises SolverError on a
@@ -419,7 +420,6 @@ def _gmres(M, b) -> tuple[np.ndarray, np.ndarray]:
     _GMRES_MAXITER iterations.
     """
     m = _GMRES_MAXITER
-    d = M.diagonal().copy()
     beta = float(np.linalg.norm(b))
     # rows of V are written only as the iteration reaches them
     V = np.empty((m + 1, len(b)))
@@ -428,8 +428,8 @@ def _gmres(M, b) -> tuple[np.ndarray, np.ndarray]:
     rotations, residual = [], beta
     np.divide(b, beta, out=V[0])
     for k in range(m):
+        V[k + 1] = matvec(np.divide(V[k], diagonal, out=z))
         w, Vk = V[k + 1], V[:k + 1]
-        np.matmul(M, np.divide(V[k], d, out=z), out=w)
         h = Vk @ w
         w -= h @ Vk
         h2 = Vk @ w
@@ -449,7 +449,7 @@ def _gmres(M, b) -> tuple[np.ndarray, np.ndarray]:
         if residual <= _GMRES_RTOL * beta:
             hbar = H[:k + 2, :k + 1]
             y = np.linalg.lstsq(hbar, beta * np.eye(k + 2, 1)[:, 0], rcond=None)[0]
-            return (y @ Vk) / d, hbar
+            return (y @ Vk) / diagonal, hbar
         w /= H[k + 1, k]
     raise SolverError(
         f"GMRES did not reach relative residual {_GMRES_RTOL:.0e} in {m} iterations "
@@ -471,7 +471,7 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
     every row by one matrix-vector product before the matrix is freed.
     """
     M = assemble_single_layer(mesh, quad_order)
-    sigma, hbar = _gmres(M, np.ones(mesh.num_panels))
+    sigma, hbar = _gmres(M.__matmul__, M.diagonal().copy(), np.ones(mesh.num_panels))
     residual = float(np.max(np.abs(M @ sigma - 1.0)))
     del M
     s = np.linalg.svd(hbar, compute_uv=False)

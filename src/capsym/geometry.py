@@ -61,32 +61,45 @@ class TriMesh:
         return len(self.triangles)
 
     @cached_property
+    def _exponent(self) -> int:
+        """Binary exponent e of the largest |coordinate|.  Every product of
+        coordinates is formed on the exact copy vertices * 2^-e and scaled
+        back by `np.ldexp`: bitwise the unscaled result where that neither
+        overflows nor underflows, and finite wherever the result is."""
+        return int(np.frexp(np.max(np.abs(self.vertices), initial=0.0))[1])
+
+    @cached_property
+    def _unit_edges(self) -> np.ndarray:
+        """(F, 3, 3) edge vectors at unit scale, edge k opposite vertex k:
+        p_{k+2} - p_{k+1}."""
+        p = np.ldexp(self.vertices, -self._exponent)[self.triangles]
+        return np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+
+    @cached_property
+    def _unit_cross(self) -> np.ndarray:
+        """(p1 - p0) x (p2 - p0) at unit scale; p2 - p0 = -(p0 - p2) exactly."""
+        return np.cross(self._unit_edges[:, 2], -self._unit_edges[:, 1])
+
+    @cached_property
     def _cross(self) -> np.ndarray:
-        p0 = self.vertices[self.triangles[:, 0]]
-        p1 = self.vertices[self.triangles[:, 1]]
-        p2 = self.vertices[self.triangles[:, 2]]
-        return np.cross(p1 - p0, p2 - p0)
+        return np.ldexp(self._unit_cross, 2 * self._exponent)
+
+    @cached_property
+    def _unit_areas(self) -> np.ndarray:
+        return 0.5 * np.linalg.norm(self._unit_cross, axis=1)
 
     @cached_property
     def areas(self) -> np.ndarray:
-        """Per-triangle areas.
-
-        Each cross product is scaled by a power of two that brings its
-        largest component into [1/2, 1) before the norm is taken, so the
-        sum of squares neither overflows nor underflows while the area is
-        representable; the scaling is exact, so the rounding is that of
-        the unscaled norm.
-        """
-        exp = np.frexp(np.max(np.abs(self._cross), axis=1, initial=0.0))[1]
-        return 0.5 * np.ldexp(np.linalg.norm(np.ldexp(self._cross, -exp[:, None]), axis=1), exp)
+        """Per-triangle areas."""
+        return np.ldexp(self._unit_areas, 2 * self._exponent)
 
     @cached_property
     def normals(self) -> np.ndarray:
         """Per-triangle unit normals (orientation as given by the winding)."""
-        a = 2.0 * self.areas
+        a = 2.0 * self._unit_areas
         if np.any(a <= 0):
             raise MeshError("mesh contains a degenerate (zero-area) triangle")
-        return self._cross / a[:, None]
+        return self._unit_cross / a[:, None]
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -99,20 +112,13 @@ class TriMesh:
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         """Per-triangle (3,) edge lengths, edge k opposite vertex k."""
-        p = self.vertices[self.triangles]
-        return np.stack(
-            [
-                np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-                np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-            ],
-            axis=1,
-        )
+        return np.ldexp(np.linalg.norm(self._unit_edges, axis=2), self._exponent)
 
     @cached_property
     def center(self) -> np.ndarray:
-        """Area-weighted centroid of the panels."""
-        return np.einsum("f,fd->d", self.areas, self.centroids) / self.total_area
+        """Centroid of the panels, weighted by their areas at unit scale."""
+        w = self._unit_areas
+        return np.einsum("f,fd->d", w, self.centroids) / w.sum()
 
     @cached_property
     def bounding_radius(self) -> float:
@@ -184,8 +190,8 @@ def validate(mesh: TriMesh) -> ValidationReport:
     F = mesh.num_panels
     euler = V - E + F
 
-    # coordinates near the float range overflow the cross products: reported
-    # as an issue below, not warned about
+    # coordinates near the float range overflow the areas: reported as an
+    # issue below, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         areas = mesh.areas
         # quality = 4 sqrt(3) area / sum(edge^2): 1 for equilateral, -> 0 degenerate
@@ -197,7 +203,8 @@ def validate(mesh: TriMesh) -> ValidationReport:
 
     outward = False
     if sized:
-        flux = float(np.einsum("ij,ij,i->", mesh.centroids, mesh._cross / 2.0, np.ones(F)))
+        unit_centroids = np.ldexp(mesh.centroids, -mesh._exponent)
+        flux = float(np.einsum("ij,ij->", unit_centroids, mesh._unit_cross))
         outward = flux > 0
 
     issues = []
@@ -347,53 +354,41 @@ def make_bumpy_sphere_mesh(R: float, level: int) -> TriMesh:
 # discrete mean curvature
 
 
-def vertex_normals(mesh: TriMesh) -> np.ndarray:
-    """Area-weighted average of incident triangle normals, normalized."""
-    vn = np.zeros_like(mesh.vertices)
-    w = mesh._cross / 2.0  # area-weighted normals
-    for k in range(3):
-        np.add.at(vn, mesh.triangles[:, k], w)
-    norms = np.linalg.norm(vn, axis=1)
-    if np.any(norms == 0):
-        raise MeshError("isolated vertex: cannot form a vertex normal")
-    return vn / norms[:, None]
+def _curvature_sums(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At unit scale, from one pass over the triangle corners: the cotangent
+    sum K, the mixed Voronoi areas A and the area-weighted vertex normals vn
+    (Meyer, Desbrun, Schroeder & Barr 2003)."""
+    tri, areas = mesh.triangles, mesh._unit_areas
+    e = mesh._unit_edges  # e_k = p_j - p_i for corner k, i = k + 1, j = k + 2
+    l2 = (e**2).sum(axis=2)
+    # (p_i - p_k).(p_j - p_k) = -e_j.e_i, bitwise: negation is exact
+    dots = np.stack([-(e[:, (k + 2) % 3] * e[:, (k + 1) % 3]).sum(axis=1) for k in range(3)],
+                    axis=1)
+    cot = dots / (2.0 * areas[:, None])
+    obtuse_corner = np.argmin(dots, axis=1)
+    any_obtuse = dots.min(axis=1) < 0
+    weighted_normal = mesh._unit_cross / 2.0
 
-
-def _corner_cotangents(p: np.ndarray, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dots, cot) of each corner k of the triangles p (F, 3, 3):
-    dot_k = (p_i - p_k).(p_j - p_k) and cot(theta_k) = dot_k / (2 area)."""
-    dots = np.empty(p.shape[:2])
+    K, vn = np.zeros((2, mesh.num_vertices, 3))
+    A = np.zeros(mesh.num_vertices)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        dots[:, k] = ((p[:, i] - p[:, k]) * (p[:, j] - p[:, k])).sum(axis=1)
-    return dots, dots / (2.0 * areas[:, None])
+        # edge (i, j) gets weight cot(angle at k)
+        w = cot[:, k][:, None] * e[:, k]
+        np.add.at(K, tri[:, i], -w)
+        np.add.at(K, tri[:, j], w)
+        # non-obtuse: Voronoi-exact (1/8)(l_j^2 cot_j + l_i^2 cot_i) at corner k
+        vor = 0.125 * (l2[:, j] * cot[:, j] + l2[:, i] * cot[:, i])
+        share = np.where(any_obtuse,
+                         np.where(obtuse_corner == k, 0.5 * areas, 0.25 * areas), vor)
+        np.add.at(A, tri[:, k], share)
+        np.add.at(vn, tri[:, k], weighted_normal)
+    return K, A, vn
 
 
 def mixed_voronoi_areas(mesh: TriMesh) -> np.ndarray:
     """Per-vertex mixed Voronoi areas (with the obtuse-triangle correction)."""
-    tri = mesh.triangles
-    p = mesh.vertices[tri]  # (F, 3, 3)
-    areas = mesh.areas
-    A = np.zeros(mesh.num_vertices)
-
-    # edge vectors opposite each vertex corner
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    l2 = (e**2).sum(axis=2)  # (F, 3) squared edge lengths, edge k opposite vertex k
-    dots, cot = _corner_cotangents(p, areas)
-    obtuse_corner = np.argmin(dots, axis=1)
-    any_obtuse = dots.min(axis=1) < 0
-
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        # non-obtuse: Voronoi-exact (1/8)(l_j^2 cot_j + l_i^2 cot_i) at corner k
-        vor = 0.125 * (l2[:, j] * cot[:, j] + l2[:, i] * cot[:, i])
-        share = np.where(
-            any_obtuse,
-            np.where(obtuse_corner == k, 0.5 * areas, 0.25 * areas),
-            vor,
-        )
-        np.add.at(A, tri[:, k], share)
-    return A
+    return np.ldexp(_curvature_sums(mesh)[1], 2 * mesh._exponent)
 
 
 def mean_curvature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -404,25 +399,15 @@ def mean_curvature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     average of the three vertex values.
     """
     require_valid(mesh)
-    tri = mesh.triangles
-    _, cot = _corner_cotangents(mesh.vertices[tri], mesh.areas)
-
-    K = np.zeros_like(mesh.vertices)
-    # edge (i, j) inside each triangle gets weight cot(angle at k)
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        w = cot[:, k][:, None]
-        d = mesh.vertices[tri[:, i]] - mesh.vertices[tri[:, j]]
-        np.add.at(K, tri[:, i], w * d)
-        np.add.at(K, tri[:, j], -w * d)
-
-    A = mixed_voronoi_areas(mesh)
+    K, A, vn = _curvature_sums(mesh)
     if np.any(A <= 0):
         raise MeshError("zero or negative mixed Voronoi area at a vertex")
+    norms = np.linalg.norm(vn, axis=1)
+    if np.any(norms == 0):
+        raise MeshError("isolated vertex: cannot form a vertex normal")
     K /= 2.0 * A[:, None]
-    vn = vertex_normals(mesh)
-    vertex_H = 0.5 * (K * vn).sum(axis=1)
-    panel_H = vertex_H[tri].mean(axis=1)
+    vertex_H = np.ldexp(0.5 * (K * (vn / norms[:, None])).sum(axis=1), -mesh._exponent)
+    panel_H = vertex_H[mesh.triangles].mean(axis=1)
     return vertex_H, panel_H
 
 

@@ -406,11 +406,13 @@ class TestMalformedInput:
 
 class TestExtremeRadius:
     """Radii far from 1 in a problem that is scale-invariant: each area and
-    the capacity are representable, so `capacity` succeeds.  `verify` names
-    a NaN in the report instead: Tr(D2v)^2 underflows at 1e100, and the D2u
-    kernel overflows at 1e-100.  Neither prints a warning."""
+    the capacity are representable, so `capacity` succeeds, up to 1e+-140
+    (the mesh's geometry is formed at one exact power-of-two scale).  With
+    discrete curvature, `verify` at 1e78 gives the sphere's verdict.  At
+    1e+-100 it names a NaN in the report instead: Tr(D2v)^2 underflows at
+    1e100, and the D2u kernel overflows at 1e-100.  None prints a warning."""
 
-    @pytest.mark.parametrize("R", [1e100, 1e-100])
+    @pytest.mark.parametrize("R", [1e100, 1e-100, 1e140, 1e-140])
     def test_capacity_scales_with_the_radius(self, tmp_path, capsys, R):
         out, unit = tmp_path / "cap.json", tmp_path / "unit.json"
         with warnings.catch_warnings():
@@ -432,6 +434,16 @@ class TestExtremeRadius:
         assert capsys.readouterr().err == \
             "error: non-finite value nan at key 'newton_sup_deficit'\n"
         assert not out.exists()
+
+    def test_discrete_curvature_verdict_at_1e78(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--shape", "sphere", "1e78", "2", "--samples", "4",
+                        "--discrete-curvature", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] is True and rep["reasons"] == []
 
 
 class TestShapeTable:

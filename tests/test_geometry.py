@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsym import geometry as geo
 
@@ -288,3 +290,160 @@ class TestOffIO:
         path.write_text("OFF\n4 2 6\n0 0 0\n1 0 0\n")
         with pytest.raises(geo.OffParseError, match="truncated"):
             geo.load_off(path)
+
+
+# geometry as it was before every product of coordinates moved to one exact
+# power-of-two scale and the discrete curvature to one pass over the corners
+def _frozen_cross(mesh):
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    p1 = mesh.vertices[mesh.triangles[:, 1]]
+    p2 = mesh.vertices[mesh.triangles[:, 2]]
+    return np.cross(p1 - p0, p2 - p0)
+
+
+def _frozen_areas(mesh):
+    cross = _frozen_cross(mesh)
+    exp = np.frexp(np.max(np.abs(cross), axis=1, initial=0.0))[1]
+    return 0.5 * np.ldexp(np.linalg.norm(np.ldexp(cross, -exp[:, None]), axis=1), exp)
+
+
+def _frozen_normals(mesh):
+    return _frozen_cross(mesh) / (2.0 * _frozen_areas(mesh))[:, None]
+
+
+def _frozen_edge_lengths(mesh):
+    p = mesh.vertices[mesh.triangles]
+    return np.stack([np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
+                     np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
+                     np.linalg.norm(p[:, 1] - p[:, 0], axis=1)], axis=1)
+
+
+def _frozen_center(mesh):
+    areas = _frozen_areas(mesh)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    return np.einsum("f,fd->d", areas, centroids) / float(areas.sum())
+
+
+def _frozen_vertex_normals(mesh):
+    vn = np.zeros_like(mesh.vertices)
+    w = _frozen_cross(mesh) / 2.0
+    for k in range(3):
+        np.add.at(vn, mesh.triangles[:, k], w)
+    return vn / np.linalg.norm(vn, axis=1)[:, None]
+
+
+def _frozen_corner_cotangents(p, areas):
+    dots = np.empty(p.shape[:2])
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        dots[:, k] = ((p[:, i] - p[:, k]) * (p[:, j] - p[:, k])).sum(axis=1)
+    return dots, dots / (2.0 * areas[:, None])
+
+
+def _frozen_mixed_voronoi_areas(mesh):
+    tri = mesh.triangles
+    p = mesh.vertices[tri]
+    areas = _frozen_areas(mesh)
+    A = np.zeros(mesh.num_vertices)
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    l2 = (e**2).sum(axis=2)
+    dots, cot = _frozen_corner_cotangents(p, areas)
+    obtuse_corner = np.argmin(dots, axis=1)
+    any_obtuse = dots.min(axis=1) < 0
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        vor = 0.125 * (l2[:, j] * cot[:, j] + l2[:, i] * cot[:, i])
+        share = np.where(any_obtuse, np.where(obtuse_corner == k, 0.5 * areas, 0.25 * areas),
+                         vor)
+        np.add.at(A, tri[:, k], share)
+    return A
+
+
+def _frozen_mean_curvature(mesh):
+    tri = mesh.triangles
+    _, cot = _frozen_corner_cotangents(mesh.vertices[tri], _frozen_areas(mesh))
+    K = np.zeros_like(mesh.vertices)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        w = cot[:, k][:, None]
+        d = mesh.vertices[tri[:, i]] - mesh.vertices[tri[:, j]]
+        np.add.at(K, tri[:, i], w * d)
+        np.add.at(K, tri[:, j], -w * d)
+    K /= 2.0 * _frozen_mixed_voronoi_areas(mesh)[:, None]
+    vertex_H = 0.5 * (K * _frozen_vertex_normals(mesh)).sum(axis=1)
+    return vertex_H, vertex_H[tri].mean(axis=1)
+
+
+_SHAPES = {
+    "sphere": lambda level: geo.make_sphere_mesh(1.3, level),
+    "spheroid": lambda level: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, level),
+    "bumpy": lambda level: geo.make_bumpy_sphere_mesh(1.0, level),
+}
+
+
+def _jittered(mesh, seed):
+    # each vertex moved by up to a fifth of the mean edge: obtuse corners
+    # appear, the surface stays closed and outward
+    rng = np.random.default_rng(seed)
+    h = float(mesh.edge_lengths.mean())
+    return geo.TriMesh(mesh.vertices + rng.uniform(-0.2 * h, 0.2 * h, mesh.vertices.shape),
+                       mesh.triangles.copy())
+
+
+class TestFrozenGeometry:
+    """Every derived quantity is bitwise the one computed before, at
+    ordinary scales, on shapes whose largest coordinate gives a nonzero
+    binary exponent."""
+
+    @pytest.mark.parametrize("variant", ["plain", "jitter", "off"])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_bitwise_equal_to_frozen(self, shape, level, variant, tmp_path):
+        mesh = _SHAPES[shape](level)
+        if variant != "plain":
+            mesh = _jittered(mesh, seed=level)
+        if variant == "off":
+            geo.save_off(mesh, tmp_path / "m.off")
+            mesh = geo.load_off(tmp_path / "m.off")
+        assert mesh._exponent != 0
+        if variant != "plain":
+            assert np.any(_frozen_corner_cotangents(mesh.vertices[mesh.triangles],
+                                                    _frozen_areas(mesh))[0] < 0)
+        assert np.array_equal(mesh.areas, _frozen_areas(mesh))
+        assert np.array_equal(mesh._cross, _frozen_cross(mesh))
+        assert np.array_equal(mesh.normals, _frozen_normals(mesh))
+        assert np.array_equal(mesh.edge_lengths, _frozen_edge_lengths(mesh))
+        assert np.array_equal(mesh.center, _frozen_center(mesh))
+        assert np.array_equal(geo.mixed_voronoi_areas(mesh), _frozen_mixed_voronoi_areas(mesh))
+        vh, ph = geo.mean_curvature(mesh)
+        frozen_vh, frozen_ph = _frozen_mean_curvature(mesh)
+        assert np.array_equal(vh, frozen_vh)
+        assert np.array_equal(ph, frozen_ph)
+        vn = geo._curvature_sums(mesh)[2]
+        assert np.array_equal(vn / np.linalg.norm(vn, axis=1)[:, None],
+                              _frozen_vertex_normals(mesh))
+
+
+_SCALED_BASE = _jittered(geo.make_bumpy_sphere_mesh(1.0, 2), seed=3).transformed(
+    translation=[0.3, -1.2, 0.7])
+
+
+class TestExactScale:
+    """Scaling a mesh by 2^k scales every derived quantity exactly, with no
+    floating-point exception, across most of the exponent range."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(min_value=-460, max_value=460))
+    def test_power_of_two_scaling_is_exact(self, k):
+        base = _SCALED_BASE
+        vh, ph = geo.mean_curvature(base)
+        with np.errstate(all="raise"):
+            m = base.scaled(2.0**k)
+            assert geo.validate(m).ok
+            scaled_vh, scaled_ph = geo.mean_curvature(m)
+            assert np.array_equal(scaled_vh, np.ldexp(vh, -k))
+            assert np.array_equal(scaled_ph, np.ldexp(ph, -k))
+            assert np.array_equal(m.areas, np.ldexp(base.areas, 2 * k))
+            assert np.array_equal(m.center, np.ldexp(base.center, k))
+            assert np.array_equal(geo.mixed_voronoi_areas(m),
+                                  np.ldexp(geo.mixed_voronoi_areas(base), 2 * k))
