@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,8 +163,7 @@ def pbv_residual(v, Dv, D2v, n: int):
         raise ValueError(f"v must be positive, got {np.min(v)}")
     Dv = np.asarray(Dv, dtype=float)
     D2v = symfun.symmetrize(D2v)
-    Dv2 = np.matmul(Dv[..., None, :], Dv[..., :, None])[..., 0, 0]  # rounds as Dv @ Dv
-    return np.trace(D2v, axis1=-2, axis2=-1) - (n / 2.0) * Dv2 / v
+    return np.trace(D2v, axis1=-2, axis2=-1) - (n / 2.0) * symfun.dot(Dv, Dv) / v
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +188,22 @@ def sample_exterior_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
 
 def _scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndarray, float]:
     """(sup, per-point values) of the normalized Newton deficit and the max
-    relative pbv residual, from one batched evaluation of u, Du and D2u."""
+    relative pbv residual, from one batched evaluation of u, Du and D2u.
+
+    The fields are formed at the mesh's unit scale: the mesh and the points
+    scaled by 2^-e and sigma by 2^e, e = `TriMesh._exponent`, all exact.
+    So u keeps its bits, Du and D2u are 2^e and 2^2e times the unscaled
+    ones wherever those are representable, and the scale-free ratios are
+    those of the unscaled problem, at any radius whose mesh is valid."""
     n = 3  # the BEM solution is a potential in R^3
+    e = sol.mesh._exponent
+    unit = replace(sol, mesh=TriMesh(np.ldexp(sol.mesh.vertices, -e), sol.mesh.triangles),
+                   sigma=np.ldexp(sol.sigma, e))
+    X = np.ldexp(np.atleast_2d(sample_points), -e)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN is reported
-        v, Dv, D2v = v_transform(*eval_fields(sol, np.atleast_2d(sample_points)), n)
+        v, Dv, D2v = v_transform(*eval_fields(unit, X), n)
         deficits = symfun.newton_deficit(D2v) / np.float_power(D2v.trace(axis1=1, axis2=2), 2)
-        Dv2 = np.matmul(Dv[:, None, :], Dv[:, :, None])[:, 0, 0]
-        residuals = np.abs(pbv_residual(v, Dv, D2v, n)) / ((n / 2.0) * Dv2 / v)
+        residuals = np.abs(pbv_residual(v, Dv, D2v, n)) / ((n / 2.0) * symfun.dot(Dv, Dv) / v)
         return float(np.max(deficits)), deficits, float(np.max(residuals, initial=0.0))
 
 

@@ -27,50 +27,74 @@ def symmetrize(A) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def sym_elementary(A, k: int) -> float:
-    """k-th elementary symmetric function S_k(A) of the eigenvalues.
+def dot(a, b):
+    """a . b over the last axis, for one pair of vectors or per pair of a
+    stack; each pair gets the bits of `a @ b` on that pair alone (the BLAS
+    dot, which numpy's stacked matmul calls pair by pair)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def matvec(A, w):
+    """A w for one matrix (n, n) and vector (n,), or per pair of a stack;
+    each pair gets the bits of `A @ w` on that pair alone (BLAS gemv)."""
+    A, w = np.asarray(A, dtype=float), np.asarray(w, dtype=float)
+    return np.matmul(A, w[..., :, None])[..., 0]
+
+
+def quadratic_form(A, w):
+    """w^T A w for one matrix and vector or per pair of a stack; each pair
+    gets the bits of `w @ A @ w` on that pair alone (BLAS gemv, then dot)."""
+    w = np.asarray(w, dtype=float)
+    return dot(np.matmul(w[..., None, :], A)[..., 0, :], w)
+
+
+def sym_elementary(A, k: int):
+    """k-th elementary symmetric function S_k(A) of the eigenvalues, of one
+    matrix or per matrix of a stack (..., n, n).
 
     S_1 = trace, S_n = determinant.  Computed as the sum of k x k
     principal minors for n <= 6, and from the characteristic polynomial
     coefficients otherwise.
     """
     A = symmetrize(A)
-    n, _ = A.shape  # one matrix: a stack fails to unpack
+    n = A.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == 1:
-        return float(np.trace(A))
+        return np.trace(A, axis1=-2, axis2=-1)
     if n <= _MINOR_ENUM_MAX_N:
         total = 0.0
         for idx in combinations(range(n), k):
-            sub = A[np.ix_(idx, idx)]
-            total += float(np.linalg.det(sub))
+            total = total + np.linalg.det(A[..., idx, :][..., :, idx])
         return total
     # char poly of A: l^n - S_1 l^(n-1) + S_2 l^(n-2) - ... ; numpy's
     # poly() returns monic coefficients [1, c_1, ..., c_n] with
     # c_k = (-1)^k S_k.
-    coeffs = np.poly(np.linalg.eigvalsh(A))
-    return float((-1) ** k * coeffs[k])
+    coeffs = np.apply_along_axis(np.poly, -1, np.linalg.eigvalsh(A))
+    return (-1) ** k * coeffs[..., k]
 
 
 def s2_tensor(A) -> np.ndarray:
-    """The tensor S^2_ij(A) = d S_2 / d a_ij.
+    """The tensor S^2_ij(A) = d S_2 / d a_ij, of one matrix or per matrix
+    of a stack (..., n, n).
 
     Off-diagonal entries -a_ji, diagonal entries Tr(A) - a_ii; satisfies
     the contraction identity S_2(A) = (1/2) sum_ij S^2_ij a_ij.
     """
     A = symmetrize(A)
-    n, _ = A.shape  # one matrix: a stack fails to unpack
-    return np.trace(A) * np.eye(n) - A
+    trace = np.trace(A, axis1=-2, axis2=-1)
+    return trace[..., None, None] * np.eye(A.shape[-1]) - A
 
 
-def s2_quadratic_form(A, w) -> float:
-    """w^T S^2(A) w, which equals |w|^2 Tr(A) - w^T A w."""
+def s2_quadratic_form(A, w):
+    """w^T S^2(A) w, which equals |w|^2 Tr(A) - w^T A w, for one matrix and
+    vector or per pair of a stack: A (..., n, n), w (..., n)."""
     A = symmetrize(A)
     w = np.asarray(w, dtype=float)
-    if w.shape != (A.shape[0],):
-        raise ValueError(f"vector of shape {w.shape} does not match matrix of size {A.shape[0]}")
-    return float((w @ w) * np.trace(A) - w @ A @ w)
+    if w.ndim < 1 or w.shape[-1] != A.shape[-1]:
+        raise ValueError(f"vector of shape {w.shape} does not match matrix of size {A.shape[-1]}")
+    return dot(w, w) * np.trace(A, axis1=-2, axis2=-1) - quadratic_form(A, w)
 
 
 def newton_deficit(A):

@@ -408,9 +408,10 @@ class TestExtremeRadius:
     """Radii far from 1 in a problem that is scale-invariant: each area and
     the capacity are representable, so `capacity` succeeds, up to 1e+-140
     (the mesh's geometry is formed at one exact power-of-two scale).  With
-    discrete curvature, `verify` at 1e78 gives the sphere's verdict.  At
-    1e+-100 it names a NaN in the report instead: Tr(D2v)^2 underflows at
-    1e100, and the D2u kernel overflows at 1e-100.  None prints a warning."""
+    discrete curvature, `verify` at 1e78 gives the sphere's verdict, and
+    so does `verify` with exact curvature up to 1e+-140: its scan forms the
+    fields at the mesh's unit scale, where neither D2u overflows nor
+    Tr(D2v)^2 underflows.  None prints a warning."""
 
     @pytest.mark.parametrize("R", [1e100, 1e-100, 1e140, 1e-140])
     def test_capacity_scales_with_the_radius(self, tmp_path, capsys, R):
@@ -424,12 +425,25 @@ class TestExtremeRadius:
         for key in ("cap_charge", "cap_asymptotic", "cap_flux"):
             assert scaled[key] == pytest.approx(R * base[key], rel=1e-12)
 
-    @pytest.mark.parametrize("R", ["1e100", "1e-100"])
-    def test_verify_names_the_non_finite_key(self, tmp_path, capsys, R):
+    @pytest.mark.parametrize("R", ["1e80", "1e100", "1e-100", "1e140", "1e-140"])
+    def test_verify_gives_the_sphere_verdict(self, tmp_path, capsys, R):
         out = tmp_path / "v.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = run(["verify", "--shape", "sphere", R, "2", "--output", str(out)])
+            assert run(["verify", "--shape", "sphere", R, "2", "--samples", "4",
+                        "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] is True and rep["reasons"] == []
+        assert rep["newton_sup_deficit"] < 1e-6 and rep["pbv_max_residual"] < 1e-12
+
+    def test_verify_names_the_non_finite_key(self, tmp_path, capsys, monkeypatch):
+        # a NaN deficit, as an overflow in the fields would give
+        monkeypatch.setattr(cli.functionals.symfun, "newton_deficit",
+                            lambda A: np.full(A.shape[:-2], np.nan))
+        out = tmp_path / "v.json"
+        rc = run(["verify", "--shape", "sphere", "1", "2", "--samples", "4",
+                  "--output", str(out)])
         assert rc == cli.EXIT_SOLVER
         assert capsys.readouterr().err == \
             "error: non-finite value nan at key 'newton_sup_deficit'\n"

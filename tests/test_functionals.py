@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsym import bem, functionals as fn, geometry as geo, oracles, symfun
 
@@ -351,3 +354,30 @@ class TestFormat17g:
     def test_numpy_containers_render_as_lists(self):
         text = fn.json_17g({"v": np.array([1.5, 2.0]), "t": (np.int64(3), True, None)})
         assert json.loads(text) == {"v": [1.5, 2.0], "t": [3, True, None]}
+
+
+class TestUnitScaleScan:
+    """The scan forms its fields at the mesh's unit scale, so scaling a
+    solution by 2^k (mesh by 2^k, sigma by 2^-k) leaves every deficit and
+    residual bitwise unchanged, far beyond the radii where D2u itself
+    overflows or Tr(D2v)^2 underflows."""
+
+    @pytest.fixture(scope="class")
+    def moved_spheroid(self):
+        mesh = geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 1).transformed(
+            np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0], [0.3, -0.2, 0.1])
+        return bem.solve_equilibrium(mesh, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-460, 460))
+    def test_power_of_two_scaling_is_bitwise_invariant(self, moved_spheroid, k):
+        sol = moved_spheroid
+        scaled = replace(sol, mesh=sol.mesh.scaled(2.0**k), sigma=np.ldexp(sol.sigma, -k))
+        pts = fn.sample_exterior_points(sol.mesh, 16, 3)
+        scaled_pts = fn.sample_exterior_points(scaled.mesh, 16, 3)
+        assert np.array_equal(scaled_pts, np.ldexp(pts, k))
+        with np.errstate(all="raise"):
+            sup, deficits, pbv = fn._scan(scaled, scaled_pts)
+        ref_sup, ref_deficits, ref_pbv = fn._scan(sol, pts)
+        assert np.array_equal(deficits, ref_deficits) and np.all(np.isfinite(deficits))
+        assert (sup, pbv) == (ref_sup, ref_pbv)

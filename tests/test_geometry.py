@@ -267,6 +267,29 @@ class TestOffIO:
         assert np.array_equal(back.triangles, sphere3.triangles)
         assert np.array_equal(back.vertices, sphere3.vertices)  # bit-exact via 17g
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_bitwise_lossless(self, data, tmp_path_factory):
+        # every finite double, -0.0, subnormals and magnitudes near 1e+-300
+        # come back with the bits they were written with
+        signed = st.sampled_from([1.0, -1.0])
+        coord = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308,
+                             2.2250738585072014e-308, 1.7976931348623157e308]),
+            st.builds(lambda s, x: s * x, signed, st.floats(1e-310, 1e-290)),
+            st.builds(lambda s, x: s * x, signed, st.floats(1e290, 1.7976931348623157e308)))
+        nv = data.draw(st.integers(3, 9))
+        verts = np.array(data.draw(st.lists(coord, min_size=3 * nv, max_size=3 * nv)))
+        tris = np.array(data.draw(st.lists(st.integers(0, nv - 1), min_size=3,
+                                           max_size=30).filter(lambda t: len(t) % 3 == 0)))
+        mesh = geo.TriMesh(verts.reshape(nv, 3), tris.reshape(-1, 3))
+        path = tmp_path_factory.mktemp("off") / "mesh.off"
+        geo.save_off(mesh, path)
+        back = geo.load_off(path)
+        assert np.array_equal(back.vertices.view(np.int64), mesh.vertices.view(np.int64))
+        assert np.array_equal(back.triangles, mesh.triangles)
+
     def test_non_triangular_face(self, tmp_path):
         path = tmp_path / "quad.off"
         path.write_text("OFF\n4 1 4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")

@@ -36,9 +36,9 @@ class TestTestFunctions:
     def test_consistency_gate_catches_typos(self):
         bad = lab.TestFunction(
             "bad", 3,
-            value=lambda x: float(x @ x),
+            value=lambda x: np.sum(x * x, axis=-1),
             gradient=lambda x: 3.0 * x,  # wrong factor
-            hessian=lambda x: 2.0 * np.eye(3),
+            hessian=lambda x: 2.0 * np.eye(3) * np.ones(x.shape[:-1] + (1, 1)),
         )
         with pytest.raises(ValueError, match="gradient"):
             bad.check_consistency(np.array([0.5, 0.2, 0.9]))
@@ -93,15 +93,18 @@ class TestDivFreeS2:
                 res[i] = total
             return res
 
+        # the count is of matrices, which the one pass hands over as one stack
         calls = []
         s2_tensor = symfun.s2_tensor
-        monkeypatch.setattr(symfun, "s2_tensor", lambda M: calls.append(1) or s2_tensor(M))
+        monkeypatch.setattr(symfun, "s2_tensor",
+                            lambda M: calls.append(np.prod(np.shape(M)[:-2], dtype=int))
+                            or s2_tensor(M))
         for f in lab.standard_test_functions(n, np.random.default_rng(n)):
             for x in _rng_points(n, 3, seed=n):
                 for h in (lab.default_step(x), lab.default_step(x) / 2):
                     del calls[:]
                     got = lab.check_div_free_s2(f, x, h)
-                    assert len(calls) == 2 * n
+                    assert len(calls) == 1 and calls[0] == 2 * n
                     assert np.array_equal(got, row_loop(f, x, h))
 
 
@@ -109,9 +112,9 @@ class TestIdentityChecks:
     def test_linear_function_trivial(self):
         f = lab.TestFunction(
             "affine", 3,
-            value=lambda x: 2.0 + float(x.sum()),
-            gradient=lambda x: np.ones(3),
-            hessian=lambda x: np.zeros((3, 3)),
+            value=lambda x: 2.0 + x.sum(axis=-1),
+            gradient=lambda x: np.ones(x.shape),
+            hessian=lambda x: np.zeros(x.shape + (3,)),
             positive=True,
         )
         x = np.array([0.3, 0.1, 0.5])
@@ -155,9 +158,9 @@ class TestLevelSetIdentities:
         # v = |x|^2: level sets are spheres of radius |x|, H = 1/|x|
         f = lab.TestFunction(
             "r2", 3,
-            value=lambda x: float(x @ x),
+            value=lambda x: np.sum(x * x, axis=-1),
             gradient=lambda x: 2.0 * x,
-            hessian=lambda x: 2.0 * np.eye(3),
+            hessian=lambda x: 2.0 * np.eye(3) * np.ones(x.shape[:-1] + (1, 1)),
             positive=True,
         )
         for x in _rng_points(3, 20, seed=1):
@@ -169,9 +172,9 @@ class TestLevelSetIdentities:
     def test_plane_level_sets(self):
         f = lab.TestFunction(
             "affine", 3,
-            value=lambda x: float(x.sum()),
-            gradient=lambda x: np.ones(3),
-            hessian=lambda x: np.zeros((3, 3)),
+            value=lambda x: x.sum(axis=-1),
+            gradient=lambda x: np.ones(x.shape),
+            hessian=lambda x: np.zeros(x.shape + (3,)),
         )
         rp, rq = lab.check_level_set_identity(f, np.array([0.1, 0.5, 0.9]))
         assert rp == pytest.approx(0.0, abs=1e-14)
@@ -180,9 +183,9 @@ class TestLevelSetIdentities:
     def test_anisotropic_quadric(self):
         f = lab.TestFunction(
             "quadric", 3,
-            value=lambda x: 1.0 + x[0] ** 2 + 2 * x[1] ** 2 + 3 * x[2] ** 2,
-            gradient=lambda x: np.array([2 * x[0], 4 * x[1], 6 * x[2]]),
-            hessian=lambda x: np.diag([2.0, 4.0, 6.0]),
+            value=lambda x: 1.0 + x[..., 0] ** 2 + 2 * x[..., 1] ** 2 + 3 * x[..., 2] ** 2,
+            gradient=lambda x: np.array([2.0, 4.0, 6.0]) * x,
+            hessian=lambda x: np.diag([2.0, 4.0, 6.0]) * np.ones(x.shape[:-1] + (1, 1)),
             positive=True,
         )
         for x in _rng_points(3, 20, seed=2):
@@ -194,9 +197,9 @@ class TestLevelSetIdentities:
     def test_critical_point_rejected(self):
         f = lab.TestFunction(
             "r2", 3,
-            value=lambda x: float(x @ x),
+            value=lambda x: np.sum(x * x, axis=-1),
             gradient=lambda x: 2.0 * x,
-            hessian=lambda x: 2.0 * np.eye(3),
+            hessian=lambda x: 2.0 * np.eye(3) * np.ones(x.shape[:-1] + (1, 1)),
         )
         with pytest.raises(ValueError, match="critical"):
             lab.check_level_set_identity(f, np.zeros(3))
@@ -316,9 +319,14 @@ class TestSphereFlux:
             lab.sphere_flux(3, 0.0, -2.0)
 
 
-def _div_free_cases(f, pts):
-    return [(x, lambda h, x=x: float(np.max(np.abs(lab.check_div_free_s2(f, x, h)))))
-            for x in pts]
+def _div_free_residual(f):
+    """`median_order`'s residual for the divergence-free rows of S^2, with
+    the cut 1e-10 max(1, |f|)."""
+    def residual(x, h):
+        rows = lab.check_div_free_s2(f, x, h)
+        return (np.max(np.abs(rows), axis=-1, keepdims=True),
+                1e-10 * np.maximum(1.0, np.abs(f.value(x))))
+    return residual
 
 
 class TestSuite:
@@ -348,16 +356,21 @@ class TestSuite:
         n = 3
         f = next(f for f in lab.standard_test_functions(n) if f.name == "one_plus_r2")
         pts = _rng_points(n, 4)
-        assert lab.median_order(f, _div_free_cases(f, pts), 1e-10)[0] is None
+        assert lab.median_order(_div_free_residual(f), pts)[0] is None
         # an exact row stays exact under the cut-off only without a fault
-        assert lab.median_order(f, _div_free_cases(f, pts), 1e-10, fault=1e-3)[0] is not None
+        assert lab.median_order(_div_free_residual(f), pts, fault=1e-3)[0] is not None
         assert not any("one_plus_r2 div_free_s2" in line
                        for line in lab.run_suite([n], 4, 0).lines)
+
+    def test_dims_3_to_6_pass_at_seeds_1_to_50(self):
+        for seed in range(1, 51):
+            result = lab.run_suite([3, 4, 5, 6], 10, seed)
+            assert result.ok, [line for line in result.lines if line.endswith("FAIL")]
 
     def test_inexact_row_is_second_order(self):
         n = 3
         f = next(f for f in lab.standard_test_functions(n) if f.name == "exp_sin")
-        assert 1.8 <= lab.median_order(f, _div_free_cases(f, _rng_points(n, 4)), 1e-10)[0] <= 2.2
+        assert 1.8 <= lab.median_order(_div_free_residual(f), _rng_points(n, 4))[0] <= 2.2
 
 
 # ---------------------------------------------------------------------------
@@ -490,25 +503,188 @@ class TestSharedFluxField:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_one_pass_evaluates_the_hessian_2n_plus_1_times(self, n):
+        # the count is of points, which the one pass hands over as one stack
         for f in lab.standard_test_functions(n):
             calls = []
-            counted = dataclasses.replace(f, hessian=lambda y, f=f: calls.append(1) or f.hessian(y))
+            counted = dataclasses.replace(
+                f, hessian=lambda y, f=f: calls.append(np.prod(np.shape(y)[:-1], dtype=int))
+                or f.hessian(y))
             x = _rng_points(n, 1, seed=n)[0]
             lab.check_identities(counted, -1.5 if f.positive else 0.0, x, lab.default_step(x))
-            assert len(calls) == 2 * n + 1
+            assert calls == [2 * n + 1]
 
     def test_rows_share_one_half_step_call(self):
-        # r(h/2) is taken once per case for all rows, and only for cases
+        # r(h/2) is taken in one call for all rows, and only for cases
         # where some row is not exact
         calls = []
 
-        def residual(h):
+        def residual(x, h):
             calls.append(h)
-            return (h * h, 0.0, 4.0 * h * h)
+            return np.stack([h * h, 0.0 * h, 4.0 * h * h], axis=-1), np.full(len(x), 1e-11)
 
-        f = lab.standard_test_functions(3)[0]
-        x = np.array([0.5, 0.5, 0.5])
-        orders = lab.median_order(f, [(x, residual)], 1e-11)
-        assert len(calls) == 2
+        x = np.array([[0.5, 0.5, 0.5], [0.2, 0.3, 0.4]])
+        orders = lab.median_order(residual, x)
+        assert len(calls) == 2 and len(calls[1]) == 2
+        assert np.array_equal(calls[1], calls[0] / 2.0)
         assert orders[1] is None
         assert orders[0] == pytest.approx(2.0) and orders[2] == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the battery and the suite as per-point code, frozen as references for the
+# stacked evaluation
+
+
+def _frozen_battery(n, rng):
+    """name -> (value, gradient, hessian) of the five test functions as
+    one-point code, drawing the random cubic from rng as the battery does."""
+    def exp_sin_grad(x):
+        g = np.zeros(len(x))
+        g[0] = math.exp(x[0]) * math.sin(x[1])
+        g[1] = math.exp(x[0]) * math.cos(x[1])
+        return g
+
+    def exp_sin_hess(x):
+        H = np.zeros((len(x), len(x)))
+        H[0, 0] = math.exp(x[0]) * math.sin(x[1])
+        H[0, 1] = H[1, 0] = math.exp(x[0]) * math.cos(x[1])
+        H[1, 1] = -math.exp(x[0]) * math.sin(x[1])
+        return H
+
+    b = rng.normal(size=n)
+    Q = rng.normal(size=(n, n))
+    Q = 0.5 * (Q + Q.T)
+    T = rng.normal(size=(n, n, n)) * 0.2
+    T = (T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
+         + T.transpose(0, 2, 1) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)) / 6.0
+    return {
+        "one_plus_r2": (lambda x: 1.0 + float(x @ x), lambda x: 2.0 * x,
+                        lambda x: 2.0 * np.eye(len(x))),
+        "r4": (lambda x: float(x @ x) ** 2, lambda x: 4.0 * float(x @ x) * x,
+               lambda x: 4.0 * float(x @ x) * np.eye(len(x)) + 8.0 * np.outer(x, x)),
+        "exp_sin": (lambda x: math.exp(x[0]) * math.sin(x[1]), exp_sin_grad, exp_sin_hess),
+        "aniso_quadric": (lambda x: 1.0 + float(np.arange(1, len(x) + 1) @ (x * x)),
+                          lambda x: 2.0 * np.arange(1, len(x) + 1) * x,
+                          lambda x: 2.0 * np.diag(np.arange(1.0, len(x) + 1))),
+        "random_cubic": (
+            lambda x: 50.0 + float(b @ x + x @ Q @ x + np.einsum("ijk,i,j,k->", T, x, x, x)),
+            lambda x: b + 2.0 * Q @ x + 3.0 * np.einsum("ijk,j,k->i", T, x, x),
+            lambda x: 2.0 * Q + 6.0 * np.einsum("ijk,k->ij", T, x)),
+    }
+
+
+def _per_point_suite(dims, points, seed):
+    """The measured rows of `run_suite` from one-point calls: each case's
+    residuals at h and h/2, the median order per row, and the level-set
+    residuals point by point."""
+    lines = []
+
+    def order(f, label, cases, n):
+        orders = None
+        for x, residual, cut in cases:
+            h = lab.default_step(x)
+            r1 = np.atleast_1d(residual(x, h))
+            orders = orders or [[] for _ in r1]
+            exact = r1 < cut(x, h)
+            if exact.all():
+                continue
+            r2 = np.atleast_1d(residual(x, h / 2.0))
+            for i in np.flatnonzero(~exact):
+                if r2[i] > 0:
+                    orders[i].append(float(np.log2(r1[i] / r2[i])))
+        for lab_i, row in zip(label, orders):
+            if row:
+                med = float(np.median(row))
+                ok = "ok" if 1.8 <= med <= 2.2 else "FAIL"
+                lines.append(f"n={n} {f.name:>14} {lab_i}: order {med:+.3f} {ok}")
+
+    def rounding_cut(f, n):
+        def cut(x, h):
+            mags = []
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = h
+                mags.append(max(np.max(np.abs(symfun.s2_tensor(f.hessian(x + e)))),
+                                np.max(np.abs(symfun.s2_tensor(f.hessian(x - e))))))
+            return 16.0 * np.finfo(float).eps * np.sum(mags) / h
+        return cut
+
+    for n in dims:
+        rng = np.random.default_rng(seed)
+        funcs = lab.standard_test_functions(n, rng)
+        pts = rng.uniform(0.3, 1.2, size=(points, n))
+        for f in funcs:
+            cases = [(x, lambda x, h, g=g: lab.check_identities(f, g, x, h),
+                      lambda x, h: 1e-11 * max(1.0, abs(f.value(x))))
+                     for x in pts for g in _suite_gammas(n) if g == int(g) or f.positive]
+            order(f, ("identity_A", "identity_B", "identity_C"), cases, n)
+            cases = [(x, lambda x, h: np.max(np.abs(lab.check_div_free_s2(f, x, h))),
+                      rounding_cut(f, n)) for x in pts]
+            order(f, ("div_free_s2",), cases, n)
+            worst = 0.0
+            for x in pts:
+                g = np.linalg.norm(f.gradient(x))
+                if g >= 1e-8:
+                    rp, rq = lab.check_level_set_identity(f, x)
+                    worst = max(worst, rp / max(1.0, g**3), rq / max(1.0, g**3))
+            ok = "ok" if worst <= 1e-11 else "FAIL"
+            lines.append(f"n={n} {f.name:>14} level_set: residual {worst:.3e} {ok}")
+    return lines
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_battery_on_a_stack_is_bitwise_each_point(self, n):
+        funcs = lab.standard_test_functions(n, np.random.default_rng(n))
+        frozen = _frozen_battery(n, np.random.default_rng(n))
+        X = np.random.default_rng(40 + n).uniform(-1.2, 1.2, size=(3, 7, n))
+        for f in funcs:
+            got = (f.value(X), f.gradient(X), f.hessian(X))
+            assert [a.shape for a in got] == [(3, 7), (3, 7, n), (3, 7, n, n)]
+            for idx in np.ndindex(3, 7):
+                x = X[idx]
+                for stacked, one, ref in zip(got, (f.value(x), f.gradient(x), f.hessian(x)),
+                                             frozen[f.name]):
+                    assert np.array_equal(stacked[idx], one)
+                    assert np.array_equal(one, ref(x))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_checks_on_a_stack_are_bitwise_each_point(self, n):
+        f = lab.standard_test_functions(n, np.random.default_rng(n))[-1]  # random cubic
+        X = _rng_points(n, 6, seed=n).reshape(2, 3, n)
+        gammas = np.array(_suite_gammas(n))[:, None, None]
+        H = lab.default_step(X) * np.array([[1.0], [0.5]])[:, None]  # (2, 2, 3)
+        rA, rB, rC = lab.check_identities(f, gammas[:, None], X, H)
+        assert rA.shape == (len(gammas), 2, 2, 3)
+        div = lab.check_div_free_s2(f, X, H)
+        assert div.shape == (2, 2, 3, n)
+        rp, rq = lab.check_level_set_identity(f, X)
+        for k, g in enumerate(gammas[:, 0, 0]):
+            for s, i, j in np.ndindex(2, 2, 3):
+                one = lab.check_identities(f, g, X[i, j], H[s, i, j])
+                assert (rA[k, s, i, j], rB[k, s, i, j], rC[k, s, i, j]) == one
+        for s, i, j in np.ndindex(2, 2, 3):
+            assert np.array_equal(div[s, i, j], lab.check_div_free_s2(f, X[i, j], H[s, i, j]))
+        for i, j in np.ndindex(2, 3):
+            assert (rp[i, j], rq[i, j]) == lab.check_level_set_identity(f, X[i, j])
+
+    @pytest.mark.parametrize("dims, seed", [((3, 4), 1), ((3, 4, 5, 6), 6),
+                                            ((5,), 913070797)])
+    def test_suite_equals_a_per_point_loop(self, dims, seed):
+        got = [line for line in lab.run_suite(dims, 10, seed).lines
+               if ": order " in line or " level_set: " in line]
+        assert got == _per_point_suite(dims, 10, seed)
+
+    def test_rounding_cut_separates_exact_rows_from_exp_sin(self):
+        for n in (3, 4, 5, 6):
+            rng = np.random.default_rng(6)
+            funcs = lab.standard_test_functions(n, rng)
+            pts = rng.uniform(0.3, 1.2, size=(10, n))
+            h = lab.default_step(pts)
+            for f in funcs:
+                rows, cut = lab._div_free_s2(f, pts, h)
+                ratio = np.max(np.abs(rows), axis=-1) / (cut / 16.0)
+                if f.name == "exp_sin":
+                    assert np.min(ratio) > 16.0 * 10
+                else:
+                    assert np.max(ratio) < 16.0 / 10

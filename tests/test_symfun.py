@@ -179,11 +179,59 @@ class TestStacks:
         with pytest.raises(ValueError, match="square"):
             symfun.symmetrize(np.zeros(shape))
 
-    @pytest.mark.parametrize("name", ["sym_elementary", "s2_tensor", "is_identity_multiple"])
+    @pytest.mark.parametrize("name", ["is_identity_multiple"])
     def test_one_matrix_functions_reject_a_stack(self, name):
-        args = {"sym_elementary": (2,), "s2_tensor": (), "is_identity_multiple": (1e-9,)}[name]
         with pytest.raises(ValueError):
-            getattr(symfun, name)(np.eye(3) * np.ones((3, 1, 1)), *args)
+            getattr(symfun, name)(np.eye(3) * np.ones((3, 1, 1)), 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 9])
+    def test_stack_functions_are_bitwise_each_matrix(self, n):
+        # sym_elementary (every k, minors and characteristic polynomial),
+        # s2_tensor and s2_quadratic_form, with A and w broadcast together,
+        # against the one-matrix code they replaced
+        def frozen_sym_elementary(A, k):
+            A = symfun.symmetrize(A)
+            if k == 1:
+                return float(np.trace(A))
+            if n <= 6:
+                return sum((float(np.linalg.det(A[np.ix_(idx, idx)]))
+                            for idx in combinations(range(n), k)), 0.0)
+            return float((-1) ** k * np.poly(np.linalg.eigvalsh(A))[k])
+
+        def frozen_s2_tensor(A):
+            A = symfun.symmetrize(A)
+            return np.trace(A) * np.eye(n) - A
+
+        def frozen_s2_quadratic_form(A, w):
+            A = symfun.symmetrize(A)
+            return float((w @ w) * np.trace(A) - w @ A @ w)
+
+        rng = np.random.default_rng(20 + n)
+        A = rng.normal(size=(4, 3, n, n)) * rng.uniform(0.1, 10.0, size=(4, 3, 1, 1))
+        w = rng.normal(size=(3, n))
+        S2, quad = symfun.s2_tensor(A), symfun.s2_quadratic_form(A, w)
+        sk = {k: symfun.sym_elementary(A, k) for k in range(1, n + 1)}
+        assert S2.shape == (4, 3, n, n) and quad.shape == (4, 3)
+        for i, j in np.ndindex(4, 3):
+            assert np.array_equal(S2[i, j], frozen_s2_tensor(A[i, j]))
+            assert np.array_equal(S2[i, j], symfun.s2_tensor(A[i, j]))
+            assert quad[i, j] == frozen_s2_quadratic_form(A[i, j], w[j])
+            assert quad[i, j] == symfun.s2_quadratic_form(A[i, j], w[j])
+            for k, got in sk.items():
+                assert got.shape == (4, 3)
+                assert got[i, j] == frozen_sym_elementary(A[i, j], k)
+                assert got[i, j] == symfun.sym_elementary(A[i, j], k)
+
+    def test_products_round_as_the_matmul_of_one_pair(self):
+        rng = np.random.default_rng(30)
+        for n in (2, 3, 4, 6, 9):
+            a, b = rng.normal(size=(2, 5, n)), rng.normal(size=(5, n))
+            M = rng.normal(size=(2, 5, n, n))
+            d, mv, q = symfun.dot(a, b), symfun.matvec(M, b), symfun.quadratic_form(M, b)
+            for i, j in np.ndindex(2, 5):
+                assert d[i, j] == a[i, j] @ b[j]
+                assert np.array_equal(mv[i, j], M[i, j] @ b[j])
+                assert q[i, j] == b[j] @ M[i, j] @ b[j]
 
 
 class TestIsIdentityMultiple:
