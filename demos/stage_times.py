@@ -6,9 +6,10 @@
 # each timed by wrapping its function in `bem` for the length of the call,
 # and the rest of the call: its validation, the residual matvec and the
 # condition estimate), one `bem.eval_fields` call on the sample points
-# `verify` would scan and one `functionals._scan` of those points (the same
-# evaluation plus the v-transform, Newton deficit and pbv residual, so the
-# difference of the two rows is the scan's own cost), with
+# `verify` would scan and one scan of those points as `verify` makes it
+# (`bem.eval_fields_at_unit_scale`, the same evaluation at the mesh's unit
+# scale, then `functionals._scan`: the v-transform, Newton deficit and pbv
+# residual, so the difference of the two rows is the scan's own cost), with
 # `time.perf_counter`.  It also prints the
 # number of lanes the assembly's far field ran on (one per usable core, as
 # far as its scratch budget allows), the GMRES iteration count and
@@ -85,7 +86,7 @@ def main() -> None:
 
     X = fn.sample_exterior_points(mesh, args.samples, args.seed)
     stage("eval_fields", bem.eval_fields, sol, X)
-    stage("scan", fn._scan, sol, X)
+    stage("scan", lambda: fn._scan(*bem.eval_fields_at_unit_scale(sol, X)))
     tested = int(np.count_nonzero(bem._within_bounding_sphere(mesh, X)))
 
     shape = "spheroid 2:1:1" if args.spheroid else "sphere R=1.3"

@@ -4,9 +4,10 @@ Piecewise-constant collocation at panel centroids for the first-kind
 equation S sigma = 1, where S is the single-layer operator with kernel
 1/(4 pi |x - y|).  The dense collocation system is solved by full GMRES,
 right-preconditioned by its diagonal.  The resulting density sigma is the
-equilibrium charge density, its integral is the capacity, and off-surface
-potentials, gradients and Hessians come from differentiating the kernel
-under the integral.
+equilibrium charge density: its integral is the capacity, and since the
+interior potential is constant, the layer jump makes sigma = |Du| on the
+boundary.  Off-surface potentials, gradients and Hessians come from
+differentiating the kernel under the integral.
 
 One kernel, `_single_layer_rows`, builds any rows of the matrix: diagonal
 entries by the exact integral of 1/r over a planar triangle from its
@@ -16,7 +17,8 @@ the longest edge (`_near_pairs`): a pair can only join centroids in
 neighbouring cubes, and sorting the centroids by cube makes each column
 of three cubes one contiguous run.  Only numpy is imported; scipy is
 not needed to solve or evaluate.  One batched `eval_fields` gives u, Du
-and D2u off the surface; every other evaluation goes through it.
+and D2u off the surface; every other evaluation goes through it, the
+symmetry scan's at the mesh's unit scale (`eval_fields_at_unit_scale`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -493,15 +495,6 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
     )
 
 
-def boundary_gradient(sol: EquilibriumSolution) -> np.ndarray:
-    """|Du| on the boundary panels.
-
-    The interior potential is constant, so the layer jump gives the
-    exterior normal derivative -sigma; hence |Du| = sigma panelwise.
-    """
-    return sol.sigma.copy()
-
-
 # ---------------------------------------------------------------------------
 # off-surface evaluation
 
@@ -584,6 +577,18 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
                 D2u[at, a, b] = D2u[at, b, a] = 3.0 * np.einsum("pn,pn->p", t, diff[b])
         D2u[at] -= w3.sum(axis=1)[:, None, None] * np.eye(3)
     return u / FOUR_PI, Du / FOUR_PI, D2u / FOUR_PI
+
+
+def eval_fields_at_unit_scale(sol: EquilibriumSolution, X
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`eval_fields` with the mesh and X times 2^-e and sigma times 2^e,
+    e = `TriMesh._exponent`, all exact: u keeps its bits, Du and D2u are
+    2^e and 2^2e times the unscaled ones where those are representable, and
+    every scale-free ratio is the unscaled one at any radius."""
+    e = sol.mesh._exponent
+    unit = replace(sol, mesh=TriMesh(np.ldexp(sol.mesh.vertices, -e), sol.mesh.triangles),
+                   sigma=np.ldexp(sol.sigma, e))
+    return eval_fields(unit, np.ldexp(np.atleast_2d(X), -e))
 
 
 def _point(x) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The two curvature-weighted boundary integrals whose sign pins down radial
 symmetry, the n = 3 capacity lower bound, the v = u^(-2/(n-2)) transform
-with its exact Hessian, the auxiliary-PDE residual for v, and the Newton
-deficit scan of D2v over exterior sample points.
+with its exact Hessian, the auxiliary-PDE residual for v, the Newton
+deficit scan of D2v over exterior sample points, and `verify`, the ball
+verdict from the boundary and exterior fields of any discretisation.
 
 Both integrals are evaluated with u = 1 on the boundary (the potential is
 normalized there), so |Du|/u reduces to |Du|.
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import symfun
-from .bem import EquilibriumSolution, boundary_gradient, eval_fields
+from .bem import EquilibriumSolution, eval_fields_at_unit_scale
 from .geometry import TriMesh, panel_curvature
 from .oracles import unit_sphere_area
 
@@ -58,7 +59,7 @@ def fields_from_solution(sol: EquilibriumSolution, use_exact_curvature: bool = T
     """Boundary fields from a solved mesh: |Du| = sigma via the layer jump,
     H from the mesh (exact when the generator attached it)."""
     return BoundaryFields(
-        du=boundary_gradient(sol),
+        du=sol.sigma.copy(),
         H=panel_curvature(sol.mesh, use_exact=use_exact_curvature),
         area=sol.mesh.areas.copy(),
     )
@@ -186,22 +187,14 @@ def sample_exterior_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
     return center + (r0 * radii)[:, None] * dirs
 
 
-def _scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndarray, float]:
+def _scan(u, Du, D2u) -> tuple[float, np.ndarray, float]:
     """(sup, per-point values) of the normalized Newton deficit and the max
-    relative pbv residual, from one batched evaluation of u, Du and D2u.
-
-    The fields are formed at the mesh's unit scale: the mesh and the points
-    scaled by 2^-e and sigma by 2^e, e = `TriMesh._exponent`, all exact.
-    So u keeps its bits, Du and D2u are 2^e and 2^2e times the unscaled
-    ones wherever those are representable, and the scale-free ratios are
-    those of the unscaled problem, at any radius whose mesh is valid."""
-    n = 3  # the BEM solution is a potential in R^3
-    e = sol.mesh._exponent
-    unit = replace(sol, mesh=TriMesh(np.ldexp(sol.mesh.vertices, -e), sol.mesh.triangles),
-                   sigma=np.ldexp(sol.sigma, e))
-    X = np.ldexp(np.atleast_2d(sample_points), -e)
+    relative pbv residual from u (P,), Du (P, n) and D2u (P, n, n); both
+    are scale-free, so fields at any exact scale of the problem
+    (`bem.eval_fields_at_unit_scale`) give those of the unscaled one."""
+    n = np.shape(Du)[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN is reported
-        v, Dv, D2v = v_transform(*eval_fields(unit, X), n)
+        v, Dv, D2v = v_transform(u, Du, D2u, n)
         deficits = symfun.newton_deficit(D2v) / np.float_power(D2v.trace(axis1=1, axis2=2), 2)
         residuals = np.abs(pbv_residual(v, Dv, D2v, n)) / ((n / 2.0) * symfun.dot(Dv, Dv) / v)
         return float(np.max(deficits)), deficits, float(np.max(residuals, initial=0.0))
@@ -213,22 +206,25 @@ def newton_scan(sol: EquilibriumSolution, sample_points) -> tuple[float, np.ndar
     deficit / Tr(D2v)^2 is scale-free; the sup over points is the
     symmetry discriminator (zero exactly for balls).
     """
-    return _scan(sol, sample_points)[:2]
+    return _scan(*eval_fields_at_unit_scale(sol, sample_points))[:2]
 
 
 def pbv_scan(sol: EquilibriumSolution, sample_points) -> float:
     """Max relative residual of the auxiliary PDE for v at the sample points."""
-    return _scan(sol, sample_points)[2]
+    return _scan(*eval_fields_at_unit_scale(sol, sample_points))[2]
 
 
 # ---------------------------------------------------------------------------
 # report and verdict
 
-# noise floors measured on BEM icospheres (quad order 6, seed 0, 64 sample
-# points); thresholds default to 3x these.  The level-5 row is extrapolated
-# by the observed 1/4-per-level decay.  Regenerate with
-# demos/calibrate_noise.py.
+# noise floors measured on BEM unit icospheres (quad order 6, 64 sample
+# points); thresholds default to 3x these.  Levels 2-4 are seed 0, levels
+# 0 and 1 the largest over seeds 0-3 rounded up (their Newton sups span
+# 1.3-1.8e-4 and 4.6-6.2e-6).  The level-5 row is extrapolated by the
+# observed 1/4-per-level decay.  Regenerate with demos/calibrate_noise.py.
 SPHERE_NOISE_FLOOR = {
+    0: {"f1_rel": 9.6e-2, "f2_rel": 4.6e-1, "newton": 1.8e-4},
+    1: {"f1_rel": 2.6e-2, "f2_rel": 1.5e-1, "newton": 6.3e-6},
     2: {"f1_rel": 6.2e-3, "f2_rel": 3.9e-2, "newton": 4.0e-7},
     3: {"f1_rel": 1.5e-3, "f2_rel": 9.7e-3, "newton": 3.0e-8},
     4: {"f1_rel": 3.7e-4, "f2_rel": 2.5e-3, "newton": 2.0e-9},
@@ -269,56 +265,55 @@ class TheoremReport:
     thresholds: dict = field(default_factory=dict)
 
 
-def symmetry_verdict(f1_value: float, f1_scale_value: float, f2_lhs: float,
-                     f2_rhs: float, newton_sup: float, thresholds: dict
-                     ) -> tuple[bool, list]:
-    """Ball verdict: all three deficit measures below their thresholds.
-
-    Returns (verdict, reasons), reasons naming every failed test.
-    """
+def verify(fields: BoundaryFields, capacity: float, exterior, level: int | None = None,
+           thresholds: dict | None = None) -> TheoremReport:
+    """The ball verdict (n = 3) from any discretisation's boundary fields,
+    capacity and `exterior` = (u, Du, D2u) at the sample points.  Each test
+    is `not value <= tol`, so a NaN measure fails it; `reasons` names every
+    failed test."""
+    n = 3
+    val_f1 = f1(fields, n)
+    scale = f1_scale(fields)
+    lhs, rhs = f2(fields, capacity, n)
+    newton_sup, _, pbv_max = _scan(*exterior)
+    if thresholds is None:
+        thresholds = default_thresholds(level)
     reasons = []
-    if f1_value > thresholds["tol_f1"] * f1_scale_value:
+    if not val_f1 <= thresholds["tol_f1"] * scale:
         reasons.append("F1 positive beyond threshold")
-    if abs(f2_lhs - f2_rhs) > thresholds["tol_f2"] * f2_rhs:
+    if not abs(lhs - rhs) <= thresholds["tol_f2"] * rhs:
         reasons.append("F2 gap beyond threshold")
-    if newton_sup > thresholds["tol_newton"]:
+    if not newton_sup <= thresholds["tol_newton"]:
         reasons.append("Newton deficit beyond threshold")
-    return not reasons, reasons
+    return TheoremReport(
+        f1=val_f1,
+        f1_scale=scale,
+        f2_lhs=lhs,
+        f2_rhs=rhs,
+        lb_product=capacity * lhs,  # lower_bound_n3, without a second F2 sum
+        lb_rhs=LB_RHS_DERIVED,
+        lb_rhs_printed=LB_RHS_PRINTED,
+        lb_constant_note=LB_CONSTANT_NOTE,
+        newton_sup_deficit=newton_sup,
+        pbv_max_residual=pbv_max,
+        verdict_ball=not reasons,
+        reasons=reasons,
+        capacity=capacity,
+        panels=fields.du.size,
+        level=level,
+        thresholds=dict(thresholds),
+    )
 
 
 def verify_solution(sol: EquilibriumSolution, level: int | None = None,
                     seed: int = 0, n_samples: int = 64,
                     thresholds: dict | None = None,
                     use_exact_curvature: bool = True) -> TheoremReport:
-    """Full diagnostic pipeline on a solved mesh (n = 3)."""
-    fields = fields_from_solution(sol, use_exact_curvature=use_exact_curvature)
-    cap = sol.capacity
-    val_f1 = f1(fields, 3)
-    scale = f1_scale(fields)
-    lhs, rhs = f2(fields, cap, 3)
-    product, lb_rhs = lower_bound_n3(cap, fields)
-    newton_sup, _, pbv_max = _scan(sol, sample_exterior_points(sol.mesh, n_samples, seed))
-    if thresholds is None:
-        thresholds = default_thresholds(level)
-    verdict, reasons = symmetry_verdict(val_f1, scale, lhs, rhs, newton_sup, thresholds)
-    return TheoremReport(
-        f1=val_f1,
-        f1_scale=scale,
-        f2_lhs=lhs,
-        f2_rhs=rhs,
-        lb_product=product,
-        lb_rhs=lb_rhs,
-        lb_rhs_printed=LB_RHS_PRINTED,
-        lb_constant_note=LB_CONSTANT_NOTE,
-        newton_sup_deficit=newton_sup,
-        pbv_max_residual=pbv_max,
-        verdict_ball=verdict,
-        reasons=reasons,
-        capacity=cap,
-        panels=sol.mesh.num_panels,
-        level=level,
-        thresholds=dict(thresholds),
-    )
+    """`verify` on a solved mesh, with its fields at `n_samples` seeded
+    exterior points formed at the mesh's unit scale."""
+    X = sample_exterior_points(sol.mesh, n_samples, seed)
+    return verify(fields_from_solution(sol, use_exact_curvature), sol.capacity,
+                  eval_fields_at_unit_scale(sol, X), level, thresholds)
 
 
 # ---------------------------------------------------------------------------

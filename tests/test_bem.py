@@ -240,13 +240,17 @@ class TestEvaluation:
 
 
 class TestBoundaryGradient:
+    """|Du| on the boundary is sigma, by the layer jump."""
+
     def test_sphere_values(self, sphere3_sol):
-        du = bem.boundary_gradient(sphere3_sol)
+        du = fn.fields_from_solution(sphere3_sol).du
+        assert np.array_equal(du, sphere3_sol.sigma)
         assert np.max(np.abs(du - 1.0)) < 0.03
 
     def test_radius_scaling(self):
         sol = bem.solve_equilibrium(geo.make_sphere_mesh(2.0, 2), 6)
-        du = bem.boundary_gradient(sol)
+        du = fn.fields_from_solution(sol).du
+        assert np.array_equal(du, sol.sigma)
         assert np.max(np.abs(du - 0.5)) < 0.02
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capsym import cli, geometry as geo, identity_lab, oracles
+from capsym import cli, functionals as fn, geometry as geo, identity_lab, oracles
 
 
 def run(argv):
@@ -138,6 +138,16 @@ class TestVerify:
         data = json.loads(out.read_text())
         assert data["verdict"] is False
         assert len(data["reasons"]) > 0
+
+    @pytest.mark.parametrize("level", ["0", "1"])
+    @pytest.mark.parametrize("shape, ball", [(["sphere", "1"], True),
+                                             (["ellipsoid", "2", "1", "1"], False)])
+    def test_coarse_level_verdict(self, tmp_path, shape, ball, level):
+        out = tmp_path / "v.json"
+        assert run(["verify", "--shape", *shape, level, "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] is ball
+        assert data["thresholds"]["tol_newton"] == 3.0 * fn.SPHERE_NOISE_FLOOR[int(level)]["newton"]
 
     def test_tight_newton_tolerance_flips_verdict(self, tmp_path):
         out = tmp_path / "v.json"

@@ -256,15 +256,100 @@ class TestVerdictAndReport:
         assert fn.report_to_json(report) == fn.report_to_json(report2)
 
 
+def ball_exterior(R, count=64, seed=11):
+    """(u, Du, D2u) of the ball's potential, stacked at seeded points on the
+    sample shells 1.6-3.0 R out."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    X = (R * rng.uniform(*fn.SAMPLE_RADIUS_FACTORS, size=count))[:, None] * dirs
+    return tuple(np.array(a) for a in zip(*(oracles.radial_potential(3, R, x) for x in X)))
+
+
+class TestVerifyFields:
+    """`verify` takes the fields of any discretisation, here the exact ball."""
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
+    def test_ball_oracle_is_a_ball(self, R):
+        report = fn.verify(fn.ball_boundary_fields(3, R), oracles.ball_capacity(3, R),
+                           ball_exterior(R))
+        assert report.verdict_ball and report.reasons == []
+        assert abs(report.f1) / report.f1_scale <= 1e-12
+        assert abs(report.f2_lhs - report.f2_rhs) / report.f2_rhs <= 1e-12
+        assert report.newton_sup_deficit <= 1e-12
+        assert report.pbv_max_residual <= 1e-12
+        assert report.lb_product == pytest.approx(report.lb_rhs, rel=1e-12)
+        assert report.panels == 1
+
+    def test_nan_f1_fails(self):
+        fields = fn.BoundaryFields(du=[1.0], H=[np.nan], area=[FOUR_PI])
+        report = fn.verify(fields, oracles.ball_capacity(3, 1.0), ball_exterior(1.0))
+        assert math.isnan(report.f1)
+        assert not report.verdict_ball
+        assert "F1 positive beyond threshold" in report.reasons
+
+    def test_nan_f2_side_fails(self):
+        report = fn.verify(fn.ball_boundary_fields(3, 1.0), np.nan, ball_exterior(1.0))
+        assert math.isnan(report.f2_rhs)
+        assert not report.verdict_ball
+        assert report.reasons == ["F2 gap beyond threshold"]
+
+    def test_nan_newton_sup_fails(self):
+        u, Du, D2u = ball_exterior(1.0)
+        D2u[5, 0, 1] = np.nan
+        report = fn.verify(fn.ball_boundary_fields(3, 1.0), oracles.ball_capacity(3, 1.0),
+                           (u, Du, D2u))
+        assert math.isnan(report.newton_sup_deficit)
+        assert not report.verdict_ball
+        assert report.reasons == ["Newton deficit beyond threshold"]
+
+    def test_verify_solution_is_verify_on_the_bem_fields(self, spheroid3_sol):
+        sol = spheroid3_sol
+        X = fn.sample_exterior_points(sol.mesh, 16, 2)
+        direct = fn.verify(fn.fields_from_solution(sol), sol.capacity,
+                           bem.eval_fields_at_unit_scale(sol, X), level=3)
+        assert fn.report_to_dict(direct) == fn.report_to_dict(
+            fn.verify_solution(sol, level=3, seed=2, n_samples=16))
+
+
+class TestCoarseLevels:
+    """Levels 0 and 1 have rows of their own: their spheres are balls and
+    the 2:1:1 spheroid is not."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        return {(shape, level): bem.solve_equilibrium(mesh(level), 6)
+                for shape, mesh in (("sphere", lambda L: geo.make_sphere_mesh(1.0, L)),
+                                    ("spheroid", lambda L: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, L)))
+                for level in (0, 1)}
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_rows_cover_the_sphere_over_seeds(self, coarse, level):
+        floor = fn.SPHERE_NOISE_FLOOR[level]
+        for seed in range(4):
+            rep = fn.verify_solution(coarse["sphere", level], level=level, seed=seed)
+            assert abs(rep.f1) / rep.f1_scale <= floor["f1_rel"]
+            assert abs(rep.f2_lhs - rep.f2_rhs) / rep.f2_rhs <= floor["f2_rel"]
+            assert rep.newton_sup_deficit <= floor["newton"]
+            assert rep.verdict_ball and rep.reasons == []
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_spheroid_is_not_a_ball(self, coarse, level):
+        for seed in range(4):
+            rep = fn.verify_solution(coarse["spheroid", level], level=level, seed=seed)
+            assert not rep.verdict_ball
+            assert "Newton deficit beyond threshold" in rep.reasons
+
+
 class TestSharedScan:
     def test_verify_evaluates_each_point_once(self, spheroid3_sol, monkeypatch):
         calls = []
 
         def counting(sol, X):
             calls.append(len(X))
-            return bem.eval_fields(sol, X)
+            return bem.eval_fields_at_unit_scale(sol, X)
 
-        monkeypatch.setattr(fn, "eval_fields", counting)
+        monkeypatch.setattr(fn, "eval_fields_at_unit_scale", counting)
         report = fn.verify_solution(spheroid3_sol, level=3, n_samples=24, seed=3)
         assert calls == [24]
         pts = fn.sample_exterior_points(spheroid3_sol.mesh, 24, 3)
@@ -321,7 +406,7 @@ class TestBatchedAlgebra:
         sol = spheroid3_sol if shape == "spheroid3" else \
             bem.solve_equilibrium(geo.make_bumpy_sphere_mesh(1.0, 2), 6)
         pts = fn.sample_exterior_points(sol.mesh, 512, 7)
-        sup, deficits, pbv = fn._scan(sol, pts)
+        sup, deficits, pbv = fn._scan(*bem.eval_fields_at_unit_scale(sol, pts))
         ref_sup, ref_deficits, ref_pbv = scan_point_by_point(sol, pts)
         assert np.array_equal(deficits, ref_deficits)
         assert (sup, pbv) == (ref_sup, ref_pbv)
@@ -357,8 +442,8 @@ class TestFormat17g:
 
 
 class TestUnitScaleScan:
-    """The scan forms its fields at the mesh's unit scale, so scaling a
-    solution by 2^k (mesh by 2^k, sigma by 2^-k) leaves every deficit and
+    """`bem.eval_fields_at_unit_scale` forms the scan's fields at the mesh's
+    unit scale, so scaling a solution by 2^k (mesh by 2^k, sigma by 2^-k) leaves every deficit and
     residual bitwise unchanged, far beyond the radii where D2u itself
     overflows or Tr(D2v)^2 underflows."""
 
@@ -377,7 +462,7 @@ class TestUnitScaleScan:
         scaled_pts = fn.sample_exterior_points(scaled.mesh, 16, 3)
         assert np.array_equal(scaled_pts, np.ldexp(pts, k))
         with np.errstate(all="raise"):
-            sup, deficits, pbv = fn._scan(scaled, scaled_pts)
-        ref_sup, ref_deficits, ref_pbv = fn._scan(sol, pts)
+            sup, deficits, pbv = fn._scan(*bem.eval_fields_at_unit_scale(scaled, scaled_pts))
+        ref_sup, ref_deficits, ref_pbv = fn._scan(*bem.eval_fields_at_unit_scale(sol, pts))
         assert np.array_equal(deficits, ref_deficits) and np.all(np.isfinite(deficits))
         assert (sup, pbv) == (ref_sup, ref_pbv)
