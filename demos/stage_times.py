@@ -11,8 +11,9 @@
 # scale, then `functionals._scan`: the v-transform, Newton deficit and pbv
 # residual, so the difference of the two rows is the scan's own cost), with
 # `time.perf_counter`.  It also prints the
-# number of lanes the assembly's far field ran on (one per usable core, as
-# far as its scratch budget allows), the GMRES iteration count and
+# number of lanes the assembly's far field and the `eval_fields` call ran
+# on (one per usable core, as far as the scratch budget allows; read from
+# the `bem._each_chunk` calls they make), the GMRES iteration count and
 # condition estimate, and how many evaluation points lay within the mesh's
 # bounding sphere and so needed the winding-number inside test; the last
 # line is the process's peak RSS from `resource`.
@@ -22,7 +23,7 @@
 # `4 --samples 27` is the work of a `capsym verify --shape sphere R 4
 # --samples 27` job, `3 --spheroid --samples 512` that of a level-3 2:1:1
 # spheroid verify with 512 samples.  Set OPENBLAS_NUM_THREADS=1 for
-# single-thread BLAS, and run under `taskset -c 0` for one far-field lane.
+# single-thread BLAS, and run under `taskset -c 0` for one lane.
 
 import argparse
 import resource
@@ -64,7 +65,13 @@ def main() -> None:
     stages = {"far": "_far_entries", "near": "_near_entries", "diagonal": "_self_entries",
               "gmres": "_gmres"}
     originals = {name: getattr(bem, attr) for name, attr in stages.items()}
-    results = {}
+    results, lanes = {}, []
+    each_chunk = bem._each_chunk
+
+    def recording(body, starts, count):
+        # the far field makes one call, then eval_fields one
+        lanes.append(count)
+        each_chunk(body, starts, count)
 
     def timed(name):
         def wrapper(*a, **kw):
@@ -72,28 +79,30 @@ def main() -> None:
             return results[name]
         return wrapper
 
+    X = fn.sample_exterior_points(mesh, args.samples, args.seed)
     for name, attr in stages.items():
         setattr(bem, attr, timed(name))
+    bem._each_chunk = recording
     try:
         sol = stage("solve", bem.solve_equilibrium, mesh, order)
+        stage("eval_fields", bem.eval_fields, sol, X)
     finally:
         for name, attr in stages.items():
             setattr(bem, attr, originals[name])
+        bem._each_chunk = each_chunk
     times["rest"] = times.pop("solve") - sum(times[name] for name in stages)
     times["assembly"] = times["far"] + times["near"] + times["diagonal"]
-    lanes, _ = bem._far_grid(F * len(bem.triangle_rule(order)[1]), F)
     hbar = results["gmres"][1]
 
-    X = fn.sample_exterior_points(mesh, args.samples, args.seed)
-    stage("eval_fields", bem.eval_fields, sol, X)
     stage("scan", lambda: fn._scan(*bem.eval_fields_at_unit_scale(sol, X)))
     tested = int(np.count_nonzero(bem._within_bounding_sphere(mesh, X)))
 
     shape = "spheroid 2:1:1" if args.spheroid else "sphere R=1.3"
     print(f"{shape}, level {args.level}: {F} panels, quad order {order}, "
           f"{args.samples} evaluation points")
-    print(f"  far-field lanes {lanes}; {tested} of {args.samples} evaluation points "
-          "needed the inside test")
+    far_lanes, eval_lanes = lanes
+    print(f"  far-field lanes {far_lanes}; evaluation lanes {eval_lanes}; {tested} of "
+          f"{args.samples} evaluation points needed the inside test")
     print(f"  GMRES iterations {hbar.shape[1]}; condition estimate {sol.cond_estimate:.3g}")
     for name, t in times.items():
         print(f"  {name:<12} {t:8.3f} s")

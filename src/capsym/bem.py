@@ -19,10 +19,15 @@ of three cubes one contiguous run.  Only numpy is imported; scipy is
 not needed to solve or evaluate.  One batched `eval_fields` gives u, Du
 and D2u off the surface; every other evaluation goes through it, the
 symmetry scan's at the mesh's unit scale (`eval_fields_at_unit_scale`).
+The far field's blocks and `eval_fields`' point chunks run on one lane
+per usable core (`_each_chunk`); no matrix entry depends on the number of
+lanes, and no point's fields on it or on the batch the point came in.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
 import os
 import threading
@@ -48,8 +53,9 @@ def __getattr__(name):
 # element budget of one kernel temporary.  The kernel loops keep the three
 # coordinates in separate contiguous planes and cut their work into chunks
 # whose planes hold at most _CHUNK doubles (1 MB): two (panels*Q, rows)
-# planes in the far field, shared among its lanes, seven (points, F*Q)
-# planes in eval_fields.
+# planes in the far field and seven (points, F*Q) planes in eval_fields,
+# in both cases shared among the lanes, so that all lanes' planes together
+# stay within the budget of one.
 # Every numpy pass over them then runs in cache, where a (rows, F*Q, 3)
 # difference block would stream through DRAM once per pass.  The
 # near-field pairs and the winding-number test are chunked by the same
@@ -75,10 +81,11 @@ def _each_chunk(body, starts, lanes: int) -> None:
     """Call body(lane, start) for every chunk start on `lanes` lanes, each
     taking the next start from one shared iterator, so a lane whose core is
     busy elsewhere does less of the work.  Lane 0 runs on the calling
-    thread, the others on a pool made for this call; the numpy passes
-    inside body release the GIL, so the lanes overlap.  Returns, or raises
-    a lane's exception, only once every lane has finished, so no lane
-    still writes into the caller's buffers.
+    thread, the others on a pool made for this call, each in a copy of the
+    caller's `contextvars` context, so the caller's `np.errstate` holds on
+    every lane; the numpy passes inside body release the GIL, so the lanes
+    overlap.  Returns, or raises a lane's exception, only once every lane
+    has finished, so no lane still writes into the caller's buffers.
     """
     todo = iter(starts)
     lock = threading.Lock()
@@ -96,7 +103,8 @@ def _each_chunk(body, starts, lanes: int) -> None:
         return
     # leaving the block waits for every lane, also when run(0) raises
     with ThreadPoolExecutor(lanes - 1, thread_name_prefix="capsym-lane") as pool:
-        others = [pool.submit(run, lane) for lane in range(1, lanes)]
+        others = [pool.submit(contextvars.copy_context().run, run, lane)
+                  for lane in range(1, lanes)]
         run(0)
     for f in others:
         f.result()
@@ -232,64 +240,73 @@ def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
     return out
 
 
-def _far_grid(width: int, panels: int) -> tuple[int, int]:
-    """Lanes and panels per chunk of a far field whose panels each take
-    `width` elements of a plane (rows times quadrature points).
+def _lane_grid(width: int, count: int) -> tuple[int, int]:
+    """Lanes and items per chunk of `count` items that each take `width`
+    elements of a plane: a far-field panel (its rows times quadrature
+    points) or an evaluation point (F*Q).
 
     One lane per usable core, but no more lanes than chunks, and all lanes'
     scratch together within the one-lane budget: every lane's planes hold
-    at least one panel and together at most _CHUNK elements, whatever the
+    at least one item and together at most _CHUNK elements, whatever the
     number of cores.
     """
     lanes = max(1, min(_usable_cores(), _CHUNK // width))
-    cols = _chunk_len(width * lanes)
-    return min(lanes, -(-panels // cols)), cols
+    per = _chunk_len(width * lanes)
+    return min(lanes, -(-count // per)), per
 
 
 def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
     """Every entry of `out` by the plain panel rule.
 
-    Column chunk by column chunk, so that each chunk lands in a contiguous
-    block of the Fortran-ordered `out`: the squared distances from the
-    chunk's quadrature points to all collocation points are summed
+    Block by block, each block a run of rows and a chunk of columns, so
+    that each block lands in a contiguous run of columns of the
+    Fortran-ordered `out`: the squared distances from the chunk's
+    quadrature points to the block's collocation points are summed
     coordinate by coordinate in two reused (points, rows) planes, then
     turned into w/|c - y| in place and summed over each panel's points.
     Distances are formed from the differences, never as
     |c|^2 + |y|^2 - 2 c.y, whose cancellation would cost digits next to
     the panels.
 
-    The chunks are spread over the lanes of `_far_grid`, which narrows
-    them as lanes are added.  Each entry is one panel's sum over its own
-    quadrature points for one row, the same arithmetic whatever the chunk
-    width or the lane that computes it, so no entry depends on the number
-    of cores.  Each lane gets its own scratch planes, allocated here:
-    blocks that worker threads allocate and free stay in glibc's
-    per-thread arenas and raise the peak RSS.
+    The blocks are spread over the lanes of `_lane_grid`, which narrows
+    them as lanes are added.  Rows are split only where one panel's plane
+    of every row would not fit each usable core's share of the budget
+    (from level 5 up, or on many cores), so every core still gets a lane.
+    Each entry is one panel's sum over its own quadrature points for one
+    row, the same arithmetic whatever the block or the lane that computes
+    it, so no entry depends on the number of cores.  Each lane gets its own
+    scratch planes, allocated here: blocks that worker threads allocate and
+    free stay in glibc's per-thread arenas and raise the peak RSS.
     """
     pts, wts = panel_quadrature(mesh, order)
     F, Q = wts.shape
+    R = len(rows)
     C = np.ascontiguousarray(mesh.centroids[rows].T)
-    lanes, cols = _far_grid(len(rows) * Q, F)
-    planes = np.empty((lanes, 2, min(cols, F) * Q, len(rows)))
-    sums = np.empty((lanes, min(cols, F), len(rows)))
+    block = min(R, _chunk_len(_usable_cores() * Q))
+    lanes, cols = _lane_grid(block * Q, F)
+    size = min(cols, F) * block
+    planes = np.empty((lanes, 2, size * Q))
+    sums = np.empty((lanes, size))
 
-    def chunk(lane, start):
+    def chunk(lane, at):
+        first, start = at
+        c = C[:, first:first + block]
         y = pts[start:start + cols].reshape(-1, 3)
         w = wts[start:start + cols].reshape(-1, 1)
-        d, t = planes[lane, :, :len(y)]
-        np.subtract(C[0], y[:, 0:1], out=d)
+        b, m = c.shape[1], len(y) // Q
+        d, t = planes[lane, :, :len(y) * b].reshape(2, len(y), b)
+        np.subtract(c[0], y[:, 0:1], out=d)
         np.multiply(d, d, out=d)
         for k in (1, 2):
-            np.subtract(C[k], y[:, k:k + 1], out=t)
+            np.subtract(c[k], y[:, k:k + 1], out=t)
             np.multiply(t, t, out=t)
             np.add(d, t, out=d)
         np.sqrt(d, out=d)
         np.divide(w, d, out=d)
-        m = len(y) // Q
-        s = d.reshape(m, Q, -1).sum(axis=1, out=sums[lane, :m])
-        np.divide(s.T, FOUR_PI, out=out[:, start:start + m])
+        s = d.reshape(m, Q, b).sum(axis=1, out=sums[lane, :m * b].reshape(m, b))
+        np.divide(s.T, FOUR_PI, out=out[first:first + b, start:start + m])
 
-    _each_chunk(chunk, range(0, F, cols), lanes)
+    _each_chunk(chunk, itertools.product(range(0, R, block), range(0, F, cols)), lanes)
 
 
 def _near_pairs(a, b, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -362,11 +379,19 @@ def _near_entries(out, mesh: TriMesh, rows, order: int) -> None:
     keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
     r, i, j = r[keep], i[keep], j[keep]
     spts, swts = panel_quadrature(mesh, order, subdivide=True)
+    # coordinate planes (F, 4Q) of the subdivided rule's points
+    planes = np.moveaxis(spts, -1, 0).copy()
     chunk = _chunk_len(spts[0].size)
     for start in range(0, len(r), chunk):
         ic, jc = i[start:start + chunk], j[start:start + chunk]
-        out[r[start:start + chunk], jc] = (
-            swts[jc] / _norm(cen[ic][:, None, :] - spts[jc])).sum(axis=1) / FOUR_PI
+        c = cen[ic]
+        # |c - y|^2 summed as (x^2 + z^2) + y^2, the order of _norm's
+        # einsum for a 3-vector, so the entries keep its bits
+        d = np.square(c[:, 0:1] - planes[0][jc])
+        d += np.square(c[:, 2:3] - planes[2][jc])
+        d += np.square(c[:, 1:2] - planes[1][jc])
+        np.sqrt(d, out=d)
+        out[r[start:start + chunk], jc] = (swts[jc] / d).sum(axis=1) / FOUR_PI
 
 
 def _self_entries(out, mesh: TriMesh, rows) -> None:
@@ -528,34 +553,43 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
 
     u(x) = int sigma(y) / (4 pi |x - y|) dA(y); Du and D2u by the kernel
     gradient -r/(4 pi |r|^3) and Hessian (3 rr^T - |r|^2 I)/(4 pi |r|^5),
-    r = x - y.  The quadrature is formed once.  The points of each chunk
-    that lie within the mesh's bounding sphere get one batched
-    winding-number test, and a point inside raises ValueError; a point
-    beyond that sphere cannot be inside and is not tested.
+    r = x - y.  The quadrature is formed once.
+
+    First the points within the mesh's bounding sphere get the
+    winding-number test, in chunks taken in X's order, and the first point
+    inside raises ValueError; a point beyond that sphere cannot be inside
+    and is not tested.  Then the point chunks run on the lanes of
+    `_lane_grid`, which narrows them as lanes are added.  Every sum over
+    the quadrature points is one row's einsum or sum, with no BLAS, so a
+    point's u, Du and D2u keep their bits whatever its batch, its place in
+    it or the number of cores.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
         raise ValueError(f"evaluation points must have shape (P, 3), got {X.shape}")
+    tested = X[_within_bounding_sphere(sol.mesh, X)]
+    # chunks whose (points, F, 3, 3) corner differences hold _CHUNK doubles
+    step = _chunk_len(9 * sol.mesh.num_panels)
+    for start in range(0, len(tested), step):
+        x = tested[start:start + step]
+        inside = winding_number(sol.mesh, x) > 0.5
+        if inside.any():
+            raise ValueError(f"evaluation point {x[np.argmax(inside)].tolist()} "
+                             "lies inside the surface")
     pts, wts = panel_quadrature(sol.mesh, sol.quad_order)
     Y = np.ascontiguousarray(pts.reshape(-1, 3).T)
     sw = (wts * sol.sigma[:, None]).reshape(-1)
     P, n = len(X), len(sw)
     u, Du, D2u = np.empty(P), np.empty((P, 3)), np.empty((P, 3, 3))
-    chunk = _chunk_len(n)
-    # per chunk: the three planes of r = x - y, then 1/|r|, sigma w/|r|^3,
+    lanes, chunk = _lane_grid(n, P)
+    # per lane: the three planes of r = x - y, then 1/|r|, sigma w/|r|^3,
     # sigma w/|r|^5 and one scratch plane, each (points, F*Q)
-    planes = np.empty((7, min(chunk, P), n))
-    may_be_inside = _within_bounding_sphere(sol.mesh, X)
-    for start in range(0, P, chunk):
+    planes = np.empty((lanes, 7, min(chunk, P), n))
+
+    def fields(lane, start):
         x = X[start:start + chunk]
-        tested = x[may_be_inside[start:start + chunk]]
-        if len(tested):
-            inside = winding_number(sol.mesh, tested) > 0.5
-            if inside.any():
-                raise ValueError(f"evaluation point {tested[np.argmax(inside)].tolist()} "
-                                 "lies inside the surface")
         m = len(x)
-        diff, (inv_r, w3, w5, t) = planes[:3, :m], planes[3:, :m]
+        diff, (inv_r, w3, w5, t) = planes[lane, :3, :m], planes[lane, 3:, :m]
         for k in range(3):
             np.subtract(x[:, k:k + 1], Y[k], out=diff[k])
         np.multiply(diff[0], diff[0], out=inv_r)
@@ -569,13 +603,15 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
         np.multiply(w3, t, out=w3)
         np.multiply(w3, t, out=w5)
         at = slice(start, start + m)
-        u[at] = inv_r @ sw
+        u[at] = np.einsum("pn,n->p", inv_r, sw)
         for a in range(3):
             Du[at, a] = -np.einsum("pn,pn->p", w3, diff[a])
             np.multiply(w5, diff[a], out=t)
             for b in range(a, 3):
                 D2u[at, a, b] = D2u[at, b, a] = 3.0 * np.einsum("pn,pn->p", t, diff[b])
         D2u[at] -= w3.sum(axis=1)[:, None, None] * np.eye(3)
+
+    _each_chunk(fields, range(0, P, chunk), lanes)
     return u / FOUR_PI, Du / FOUR_PI, D2u / FOUR_PI
 
 

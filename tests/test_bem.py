@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -506,9 +507,39 @@ class TestCacheSizedKernels:
         # beyond the 13 output doubles per point, nothing grows with the count
         assert peaks[512] - peaks[32] < 2 * 480 * 13 * 8
 
+    @pytest.mark.parametrize("cores", [8, 16])
+    def test_eval_fields_peak_on_many_cores(self, cores, sphere3_sol, monkeypatch):
+        monkeypatch.setattr(bem, "_usable_cores", lambda: cores)
+        n = sphere3_sol.mesh.num_panels * 6
+        assert bem._lane_grid(n, 512)[0] == cores
+        X = fn.sample_exterior_points(sphere3_sol.mesh, 512, 0)
+        tracemalloc.start()
+        try:
+            bem.eval_fields(sphere3_sol, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 # ---------------------------------------------------------------------------
-# far-field lanes and the bounding-sphere gate of the inside test
+# far-field and evaluation lanes, and the bounding-sphere gate of the inside
+# test
+
+
+@pytest.fixture
+def lane_grids(monkeypatch):
+    """(lanes, chunk starts) of each `_each_chunk` call."""
+    grids = []
+    real = bem._each_chunk
+
+    def recording(body, starts, lanes):
+        starts = list(starts)
+        grids.append((lanes, starts))
+        real(body, starts, lanes)
+
+    monkeypatch.setattr(bem, "_each_chunk", recording)
+    return grids
 
 
 class TestLanes:
@@ -525,7 +556,7 @@ class TestLanes:
         runs = {}
         for cores in (1, 3):
             monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
-            assert bem._far_grid(len(rows) * 6, F)[0] == cores
+            assert bem._lane_grid(len(rows) * 6, F)[0] == cores
             switch = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
@@ -560,11 +591,103 @@ class TestLanes:
         assert len(done) == 8 and len(set(done)) == 8
         assert threading.active_count() == threads
 
+    def test_row_blocks_equal_at_one_and_three_lanes(self, lane_grids, monkeypatch):
+        mesh = _moved_scaled_spheroid()
+        F = mesh.num_panels
+        # one panel's plane of every row fills the budget, as from level 5 up
+        monkeypatch.setattr(bem, "_CHUNK", 6 * F)
+        runs = {}
+        for cores in (1, 3):
+            monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
+            runs[cores] = bem.assemble_single_layer(mesh, 6)
+        (one, blocks_one), (three, blocks_three) = lane_grids
+        assert one == 1 and {first for first, _ in blocks_one} == {0}
+        # three lanes, each on a block of rows of one panel
+        firsts = sorted({first for first, _ in blocks_three})
+        assert three == 3 and len(firsts) == 4 and len(blocks_three) == 4 * F
+        assert firsts[1] * 6 * three <= bem._CHUNK
+        assert np.array_equal(runs[1], runs[3])
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_lanes_run_in_the_callers_errstate(self, lanes):
+        def divide_on_every_lane():
+            """Lanes whose 1/0 raised, and lanes whose 1/0 did not."""
+            started = [threading.Event() for _ in range(lanes)]
+            raised, quiet = set(), set()
+
+            def body(lane, start):
+                # every lane takes a chunk before any chunk ends
+                started[lane].set()
+                assert all(e.wait(30) for e in started)
+                try:
+                    np.divide(1.0, np.zeros(2))
+                except FloatingPointError:
+                    raised.add(lane)
+                else:
+                    quiet.add(lane)
+
+            bem._each_chunk(body, range(lanes), lanes)
+            return raised, quiet
+
+        with np.errstate(divide="raise"):
+            assert divide_on_every_lane() == (set(range(lanes)), set())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore"):
+                assert divide_on_every_lane() == (set(), set(range(lanes)))
+
+    def test_fields_equal_at_one_and_three_lanes(self, spheroid2_sol, lane_grids, monkeypatch):
+        X = fn.sample_exterior_points(spheroid2_sol.mesh, 40, 2)
+        n = spheroid2_sol.mesh.num_panels * 6
+        # three lanes of one point a chunk, one lane of three
+        monkeypatch.setattr(bem, "_CHUNK", 3 * n)
+        runs = {}
+        for cores in (1, 3):
+            monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                runs[cores] = bem.eval_fields(spheroid2_sol, X)
+            finally:
+                sys.setswitchinterval(switch)
+        assert [lanes for lanes, _ in lane_grids] == [1, 3]
+        assert [len(starts) for _, starts in lane_grids] == [14, 40]
+        for one, three in zip(runs[1], runs[3]):
+            assert np.array_equal(one, three)
+
+    def test_fields_independent_of_the_batch(self, level2_sol):
+        X = fn.sample_exterior_points(level2_sol.mesh, 17, 3)
+        fields = bem.eval_fields(level2_sol, X)
+        perm = np.random.default_rng(4).permutation(len(X))
+        for whole, permuted in zip(fields, bem.eval_fields(level2_sol, X[perm])):
+            assert np.array_equal(whole[perm], permuted)
+        for k, x in enumerate(X):
+            for whole, alone in zip(fields, bem.eval_fields(level2_sol, x[None])):
+                assert np.array_equal(whole[k], alone[0])
+            assert bem.eval_potential(level2_sol, x) == fields[0][k]
+            assert np.array_equal(bem.eval_gradient(level2_sol, x), fields[1][k])
+            assert np.array_equal(bem.eval_hessian(level2_sol, x), fields[2][k])
+
+    def test_first_interior_point_named_at_three_lanes(self, spheroid2_sol, monkeypatch):
+        monkeypatch.setattr(bem, "_usable_cores", lambda: 3)
+        F = spheroid2_sol.mesh.num_panels
+        # two points a winding-number chunk, one point an evaluation chunk
+        monkeypatch.setattr(bem, "_CHUNK", 2 * 9 * F)
+        a, b = [0.0, 0.3, 0.0], [0.1, 0.0, 0.0]
+        # outside the 2:1:1 spheroid but within its bounding sphere, so the
+        # two interior points fall into the second and third winding chunks
+        near = [[0.0, 1.2, 0.0], [0.0, 0.0, 1.2], [1.0, 1.0, 0.0], [0.0, -1.2, 0.0]]
+        for first, second in ((a, b), (b, a)):
+            X = np.array(near[:3] + [first] + near[3:] + [second, [5.0, 0.0, 0.0]])
+            msg = f"evaluation point {first} lies inside the surface"
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                bem.eval_fields(spheroid2_sol, X)
+
     @pytest.mark.parametrize("cores", [8, 16])
     def test_assembly_peak_below_twice_the_matrix_on_many_cores(self, cores, monkeypatch):
         monkeypatch.setattr(bem, "_usable_cores", lambda: cores)
         mesh = geo.make_sphere_mesh(1.0, 3)
-        assert bem._far_grid(mesh.num_panels * 6, mesh.num_panels)[0] == cores
+        assert bem._lane_grid(mesh.num_panels * 6, mesh.num_panels)[0] == cores
         tracemalloc.start()
         try:
             M = bem.assemble_single_layer(mesh, 6)
@@ -578,7 +701,7 @@ class TestLanes:
     def test_far_scratch_within_one_budget(self, cores, width, monkeypatch):
         monkeypatch.setattr(bem, "_usable_cores", lambda: cores)
         panels = 5120
-        lanes, cols = bem._far_grid(width, panels)
+        lanes, cols = bem._lane_grid(width, panels)
         assert 1 <= lanes <= cores and lanes <= -(-panels // cols)
         # all lanes' planes within the budget, unless one panel exceeds it
         assert lanes * cols * width <= max(bem._CHUNK, width)
