@@ -10,8 +10,9 @@
 # verdict rests on.  The coarse levels 0 and 1 (`--min-level 0`) move
 # with `--seed`; their shipped rows take the largest value over seeds 0-3.
 #
-# Level 5 takes several minutes and ~3.5 GB; pass `--max-level 5` only on
-# a machine with headroom.
+# Level 5 takes several minutes and ~3.5 GB at any quadrature order, most
+# of it the 3.4 GB dense matrix; pass `--max-level 5` only on a machine
+# with headroom.
 
 import argparse
 import time
@@ -29,10 +30,8 @@ args = parser.parse_args()
 print("level  panels   f1_rel      f2_rel      newton       wall_s")
 table = {}
 for level in range(args.min_level, args.max_level + 1):
-    # level 5 will not fit a quad-order-6 solve in 5 GB; drop to 3 there
-    order = min(args.quad_order, 3) if level >= 5 else args.quad_order
     t0 = time.perf_counter()
-    sol = bem.solve_equilibrium(geo.make_sphere_mesh(1.0, level), order)
+    sol = bem.solve_equilibrium(geo.make_sphere_mesh(1.0, level), args.quad_order)
     # the three measures the verdict tests, from the report it rests on
     rep = fn.verify_solution(sol, level=level, seed=args.seed, n_samples=args.samples)
     wall = time.perf_counter() - t0

@@ -9,7 +9,7 @@ interior potential is constant, the layer jump makes sigma = |Du| on the
 boundary.  Off-surface potentials, gradients and Hessians come from
 differentiating the kernel under the integral.
 
-One kernel, `_single_layer_rows`, builds any rows of the matrix: diagonal
+`assemble_single_layer` builds the whole square matrix: diagonal
 entries by the exact integral of 1/r over a planar triangle from its
 centroid, near-diagonal entries by one level of 4:1 panel subdivision.
 The near pairs are found on a uniform grid of cubes whose side is twice
@@ -221,25 +221,6 @@ def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
     return np.concatenate(all_pts, axis=1), np.concatenate(all_wts, axis=1)
 
 
-def _single_layer_rows(mesh: TriMesh, rows, order: int) -> np.ndarray:
-    """Rows `rows` of the collocation matrix, shape (len(rows), F), in
-    Fortran order: entry (r, j) = int_{T_j} dA(y) / (4 pi |c_i - y|) with
-    i = rows[r].
-
-    The diagonal (j = i) by the exact planar self-integral; entries whose
-    centroid separation is below twice T_j's longest edge by subdivided
-    quadrature; everything else by the plain panel rule.
-    """
-    rows = np.asarray(rows)
-    # Fortran order makes each far-field column chunk one contiguous block;
-    # the solver's matrix-vector products read it in either order
-    out = np.empty((len(rows), mesh.num_panels), order="F")
-    _far_entries(out, mesh, rows, order)
-    _near_entries(out, mesh, rows, order)
-    _self_entries(out, mesh, rows)
-    return out
-
-
 def _lane_grid(width: int, count: int) -> tuple[int, int]:
     """Lanes and items per chunk of `count` items that each take `width`
     elements of a plane: a far-field panel (its rows times quadrature
@@ -255,7 +236,7 @@ def _lane_grid(width: int, count: int) -> tuple[int, int]:
     return min(lanes, -(-count // per)), per
 
 
-def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
+def _far_entries(out, mesh: TriMesh, order: int) -> None:
     """Every entry of `out` by the plain panel rule.
 
     Block by block, each block a run of rows and a chunk of columns, so
@@ -280,9 +261,8 @@ def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
     """
     pts, wts = panel_quadrature(mesh, order)
     F, Q = wts.shape
-    R = len(rows)
-    C = np.ascontiguousarray(mesh.centroids[rows].T)
-    block = min(R, _chunk_len(_usable_cores() * Q))
+    C = np.ascontiguousarray(mesh.centroids.T)
+    block = min(F, _chunk_len(_usable_cores() * Q))
     lanes, cols = _lane_grid(block * Q, F)
     size = min(cols, F) * block
     planes = np.empty((lanes, 2, size * Q))
@@ -306,31 +286,30 @@ def _far_entries(out, mesh: TriMesh, rows, order: int) -> None:
         s = d.reshape(m, Q, b).sum(axis=1, out=sums[lane, :m * b].reshape(m, b))
         np.divide(s.T, FOUR_PI, out=out[first:first + b, start:start + m])
 
-    _each_chunk(chunk, itertools.product(range(0, R, block), range(0, F, cols)), lanes)
+    _each_chunk(chunk, itertools.product(range(0, F, block), range(0, F, cols)), lanes)
 
 
-def _near_pairs(a, b, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (p, q) with |a[p] - b[q]| <= radius, in no particular order:
-    the pair set of scipy's `cKDTree.sparse_distance_matrix`, from a
-    uniform grid of cubes.
+def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (p, q) with |points[p] - points[q]| <= radius, in no
+    particular order: the pair set of scipy's `cKDTree.sparse_distance_matrix`
+    of the points with themselves, from a uniform grid of cubes.
 
-    Both point sets fall into cubes of side radius, enlarged by 2^-20 so
-    that rounding in the cube coordinates (below 2^-21 of a cube while the
+    The points fall into cubes of side radius, enlarged by 2^-20 so that
+    rounding in the cube coordinates (below 2^-21 of a cube while the
     points span fewer than 2^30 cubes) cannot part a pair at distance
     radius by two cubes.  On each axis the occupied cube coordinates are
     renumbered in order, a step of one cube kept and every wider gap
     shrunk to two: neighbouring cubes stay neighbours, others stay apart,
     and however far apart the points lie, each axis spans fewer than
-    2N + 2 cubes (N = len(a) + len(b)), so the key (x, y, z) of a cube
-    fits in int64 for N below a million.  b is sorted by that key, so a
-    column of three cubes along z is one contiguous run: each point of a
+    2N + 2 cubes (N = len(points)), so the key (x, y, z) of a cube fits in
+    int64 for N below a million.  The points are sorted once by that key,
+    so a column of three cubes along z is one contiguous run: each point
     finds its 27 neighbouring cubes as 9 `searchsorted` ranges, and the
     candidates of each of the 9 column offsets are filtered by distance
     before the next offset is searched.
     """
-    a = np.asarray(a, dtype=float)
-    pts = np.concatenate([a, np.asarray(b, dtype=float)])
-    n = len(a)
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
     side = radius * (1.0 + 2.0**-20)
     cube = np.empty(pts.shape, dtype=np.int64)
     for k in range(3):
@@ -340,49 +319,48 @@ def _near_pairs(a, b, radius: float) -> tuple[np.ndarray, np.ndarray]:
         cube[:, k] = np.concatenate(([1], 1 + np.cumsum(steps)))[at]
     _, ny, nz = cube.max(axis=0) + 2
     key = (cube[:, 0] * ny + cube[:, 1]) * nz + cube[:, 2]
-    order = np.argsort(key[n:], kind="stable")
-    key_a, key_b = key[:n], key[n:][order]
-    # coordinate planes, b's in key order
-    (ax, ay, az), (bx, by, bz) = a.T.copy(), pts[n:][order].T.copy()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # coordinate planes in key order
+    x, y, z = pts[order].T.copy()
     r2 = radius * radius
     found_p, found_q = [], []
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
-            mid = key_a + (dx * ny + dy) * nz
-            start = np.searchsorted(key_b, mid - 1, side="left")
-            count = np.searchsorted(key_b, mid + 1, side="right") - start
+            mid = key + (dx * ny + dy) * nz
+            start = np.searchsorted(key, mid - 1, side="left")
+            count = np.searchsorted(key, mid + 1, side="right") - start
             p = np.repeat(np.arange(n), count)
             at = np.arange(len(p)) + np.repeat(start - np.cumsum(count) + count, count)
             # summed x, y, z in that order, as cKDTree does
-            d = np.square(ax[p] - bx[at])
-            d += np.square(ay[p] - by[at])
-            d += np.square(az[p] - bz[at])
+            d = np.square(x[p] - x[at])
+            d += np.square(y[p] - y[at])
+            d += np.square(z[p] - z[at])
             near = d <= r2
-            found_p.append(p[near])
+            found_p.append(order[p[near]])
             found_q.append(order[at[near]])
     return np.concatenate(found_p), np.concatenate(found_q)
 
 
-def _near_entries(out, mesh: TriMesh, rows, order: int) -> None:
+def _near_entries(out, mesh: TriMesh, order: int) -> None:
     """Overwrite the near-diagonal entries of `out` by one level of 4:1
     subdivision, in chunks of candidate pairs.
 
-    The candidates are the (row, panel) pairs whose centroids lie within
-    twice the mesh's longest edge, found by `_near_pairs` on a grid of
-    cubes of that side; of these, a pair is near when its separation is
-    below twice the longest edge of its own panel T_j.
+    The candidates are the pairs of centroids within twice the mesh's
+    longest edge, found by `_near_pairs` on a grid of cubes of that side;
+    of these, a pair (i, j) is near when its separation is below twice the
+    longest edge of its own panel T_j.
     """
     cen = mesh.centroids
     max_edge = mesh.edge_lengths.max(axis=1)
-    r, j = _near_pairs(cen[rows], cen, 2.0 * float(max_edge.max()))
-    i = rows[r]
+    i, j = _near_pairs(cen, 2.0 * float(max_edge.max()))
     keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
-    r, i, j = r[keep], i[keep], j[keep]
+    i, j = i[keep], j[keep]
     spts, swts = panel_quadrature(mesh, order, subdivide=True)
     # coordinate planes (F, 4Q) of the subdivided rule's points
     planes = np.moveaxis(spts, -1, 0).copy()
     chunk = _chunk_len(spts[0].size)
-    for start in range(0, len(r), chunk):
+    for start in range(0, len(i), chunk):
         ic, jc = i[start:start + chunk], j[start:start + chunk]
         c = cen[ic]
         # |c - y|^2 summed as (x^2 + z^2) + y^2, the order of _norm's
@@ -391,20 +369,32 @@ def _near_entries(out, mesh: TriMesh, rows, order: int) -> None:
         d += np.square(c[:, 2:3] - planes[2][jc])
         d += np.square(c[:, 1:2] - planes[1][jc])
         np.sqrt(d, out=d)
-        out[r[start:start + chunk], jc] = (swts[jc] / d).sum(axis=1) / FOUR_PI
+        out[ic, jc] = (swts[jc] / d).sum(axis=1) / FOUR_PI
 
 
-def _self_entries(out, mesh: TriMesh, rows) -> None:
-    """Overwrite the diagonal entries of `out` by the exact self-integral."""
-    p = mesh.vertices[mesh.triangles[rows]]
-    out[np.arange(len(rows)), rows] = self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2]) / FOUR_PI
+def _self_entries(out, mesh: TriMesh) -> None:
+    """Overwrite the diagonal of `out` by the exact self-integral."""
+    p = mesh.vertices[mesh.triangles]
+    np.fill_diagonal(out, self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2]) / FOUR_PI)
 
 
 def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
-    """Dense collocation matrix, all rows of `_single_layer_rows`, after
-    validating the mesh."""
+    """Dense (F, F) collocation matrix in Fortran order, after validating
+    the mesh: entry (i, j) = int_{T_j} dA(y) / (4 pi |c_i - y|).
+
+    The diagonal by the exact planar self-integral; entries whose centroid
+    separation is below twice T_j's longest edge by subdivided quadrature;
+    everything else by the plain panel rule.
+    """
     require_valid(mesh)
-    return _single_layer_rows(mesh, np.arange(mesh.num_panels), quad_order)
+    F = mesh.num_panels
+    # Fortran order makes each far-field column chunk one contiguous block;
+    # the solver's matrix-vector products read it in either order
+    out = np.empty((F, F), order="F")
+    _far_entries(out, mesh, quad_order)
+    _near_entries(out, mesh, quad_order)
+    _self_entries(out, mesh)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ class TriMesh:
         return np.cross(self._unit_edges[:, 2], -self._unit_edges[:, 1])
 
     @cached_property
-    def _cross(self) -> np.ndarray:
-        return np.ldexp(self._unit_cross, 2 * self._exponent)
-
-    @cached_property
     def _unit_areas(self) -> np.ndarray:
         return 0.5 * np.linalg.norm(self._unit_cross, axis=1)
 

@@ -380,14 +380,6 @@ class TestSharedKernels:
             assert w[k] == pytest.approx(bem.winding_number(level2_sol.mesh, x), abs=1e-14)
         assert np.allclose(w, [1.0, 0.0, 1.0], atol=1e-10)
 
-    def test_kernel_rows_match_assembly(self, level2_sol):
-        mesh = level2_sol.mesh
-        M = bem.assemble_single_layer(mesh, 6)
-        rows = np.array([0, 7, 100, 101, mesh.num_panels - 1])
-        R = bem._single_layer_rows(mesh, rows, 6)
-        assert R.shape == (len(rows), mesh.num_panels)
-        assert np.abs(R - M[rows]).max() <= 1e-14 * np.abs(M[rows]).max()
-
     def test_broadcast_self_integral(self, level2_sol):
         p = level2_sol.mesh.vertices[level2_sol.mesh.triangles]
         stacked = bem.self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2])
@@ -405,37 +397,37 @@ def _moved_scaled_spheroid():
         q, np.array([0.3, -1.2, 0.7])).scaled(2.5)
 
 
-def _kd_pairs(a, b, radius):
-    near = cKDTree(a).sparse_distance_matrix(cKDTree(b), radius, output_type="ndarray")
+def _kd_pairs(points, radius):
+    tree = cKDTree(points)
+    near = tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
     return np.stack([near["i"], near["j"]])
 
 
 def _pair_points(case):
-    """Points a, b and a radius for the near-pair search."""
+    """Points and a radius for the near-pair search."""
     rng = np.random.default_rng(13)
     if case == "planar":
         # zero extent along y
-        b = rng.uniform(-1.0, 1.0, size=(400, 3))
-        b[:, 1] = 0.25
-        return b[:150], b, 0.1
+        points = rng.uniform(-1.0, 1.0, size=(400, 3))
+        points[:, 1] = 0.25
+        return points, 0.1
     if case == "cube-edge":
         # x = 1 - 2^-53 and x = 2 are 1.0 apart in floating point, yet
         # their quotients by a side of 1.0 floor to 0 and 2
-        b = np.array([[0.0, 9.0, 9.0], [1.0 - 2.0**-53, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        return b, b, 1.0
+        return np.array([[0.0, 9.0, 9.0], [1.0 - 2.0**-53, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1.0
     if case == "clusters-1e30":
         # cube indices near 1e33 along x, beyond int64
         near = rng.uniform(0.0, 0.02, size=(300, 3))
-        b = np.concatenate([near, near + [1e30, 0.0, 0.0]])
-        return b, b, 1e-3
+        return np.concatenate([near, near + [1e30, 0.0, 0.0]]), 1e-3
     mesh = {"sphere-L3": lambda: geo.make_sphere_mesh(1.0, 3),
             "moved+scaled": _moved_scaled_spheroid,
             "bumpy": lambda: geo.make_bumpy_sphere_mesh(1.0, 2)}.get(
                 case, lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2))()
     cen, F = mesh.centroids, mesh.num_panels
+    # a shuffled sparse subset of the centroids, and one point alone
     rows = {"unsorted-57": rng.permutation(F)[:57], "single": np.array([F // 3])}.get(
         case, np.arange(F))
-    return cen[rows], cen, 2.0 * float(mesh.edge_lengths.max())
+    return cen[rows], 2.0 * float(mesh.edge_lengths.max())
 
 
 class TestNearPairs:
@@ -444,19 +436,20 @@ class TestNearPairs:
     # no cube index may overflow a cast
     @pytest.mark.filterwarnings("error")
     def test_pairs_equal_kd_tree(self, case):
-        a, b, radius = _pair_points(case)
-        p, q = bem._near_pairs(a, b, radius)
+        points, radius = _pair_points(case)
+        p, q = bem._near_pairs(points, radius)
         got = np.stack([p, q])
-        want = _kd_pairs(a, b, radius)
-        assert want.shape[1] > len(a)
+        want = _kd_pairs(points, radius)
+        # pairs beyond each point with itself, but for the one point alone
+        assert want.shape[1] > len(points) or case == "single"
         # each pair once, and the same pairs as the tree's
         assert np.unique(got, axis=1).shape == got.shape
         assert np.array_equal(np.unique(got, axis=1), np.unique(want, axis=1))
 
     def test_far_cluster_keeps_its_pairs(self):
-        a, b, radius = _pair_points("clusters-1e30")
-        p, q = bem._near_pairs(a, b, radius)
-        far = len(b) // 2
+        points, radius = _pair_points("clusters-1e30")
+        p, q = bem._near_pairs(points, radius)
+        far = len(points) // 2
         # the far cluster's pairs, apart from each point with itself
         assert np.count_nonzero((p >= far) & (q >= far) & (p != q)) > 0
 
@@ -473,15 +466,17 @@ class TestCacheSizedKernels:
         if budget == "small":
             # chunk boundaries inside the column range and the pair range
             monkeypatch.setattr(bem, "_CHUNK", 6 * 40 * 7)
+        M = bem.assemble_single_layer(mesh, 6)
+        assert M.shape == (F, F) and M.flags.f_contiguous
+        # the rows of the whole matrix against the frozen kernel built for
+        # those rows alone
         rows = {"unsorted": np.random.default_rng(3).permutation(F)[:57],
                 "single": np.array([F // 3]),
                 # one row more than a chunk of F*Q-wide planes holds
                 "chunk+1": np.arange(bem._chunk_len(F * 6) + 1),
                 "all": np.arange(F)}[subset]
-        R = bem._single_layer_rows(mesh, rows, 6)
         R0 = _frozen_single_layer_rows(mesh, rows, 6)
-        assert R.shape == R0.shape == (len(rows), F) and R.flags.f_contiguous
-        assert np.all(np.abs(R - R0) <= 1e-13 * np.abs(R0))
+        assert np.all(np.abs(M[rows] - R0) <= 1e-13 * np.abs(R0))
 
     def test_assembly_peak_below_twice_the_matrix(self):
         mesh = geo.make_sphere_mesh(1.0, 3)
@@ -543,30 +538,25 @@ def lane_grids(monkeypatch):
 
 
 class TestLanes:
-    @pytest.mark.parametrize("sample", ["all", "residual"])
+    # the whole matrix, the one sample left; the id stays stable
+    @pytest.mark.parametrize("sample", ["all"])
     def test_rows_equal_at_one_and_three_lanes(self, sample, monkeypatch):
         mesh = _moved_scaled_spheroid()
         F = mesh.num_panels
-        rows = {"all": np.arange(F),
-                # the 200 sorted rows the residual check once rebuilt
-                "residual": np.sort(np.random.default_rng(0).choice(F, 200, replace=False))}[sample]
         # three lanes of one panel a chunk, one lane of three or four:
         # hundreds of chunks on another grid at each lane count
         monkeypatch.setattr(bem, "_CHUNK", 6 * 3 * F)
         runs = {}
         for cores in (1, 3):
             monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
-            assert bem._lane_grid(len(rows) * 6, F)[0] == cores
+            assert bem._lane_grid(F * 6, F)[0] == cores
             switch = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
-                R = bem._single_layer_rows(mesh, rows, 6)
-                M = bem.assemble_single_layer(mesh, 6) if sample == "all" else R
+                runs[cores] = bem.assemble_single_layer(mesh, 6)
             finally:
                 sys.setswitchinterval(switch)
-            runs[cores] = R, M
-        assert np.array_equal(runs[1][0], runs[3][0])
-        assert np.array_equal(runs[1][1], runs[3][1])
+        assert np.array_equal(runs[1], runs[3])
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_lane_error_raised_after_every_lane_finished(self, failing):
@@ -827,9 +817,9 @@ class TestKrylovSolve:
         sol = bem.solve_equilibrium(mesh, 6)
         M = bem.assemble_single_layer(mesh, 6)
         assert sol.residual_inf == np.abs(M @ sol.sigma - 1.0).max()
-        # the residual as it was measured before: 200 seeded rows, rebuilt
+        # the residual as it was measured before: 200 seeded rows
         rows = np.sort(np.random.default_rng(0).choice(mesh.num_panels, 200, replace=False))
-        R = bem._single_layer_rows(mesh, rows, 6)
+        R = M[rows]
         sampled = np.abs(R @ sol.sigma - 1.0).max()
         rounding = math.sqrt(mesh.num_panels) * np.finfo(float).eps * (
             np.abs(R) @ np.abs(sol.sigma)).max()

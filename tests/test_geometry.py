@@ -115,7 +115,7 @@ def _frozen_validate(mesh):
     min_quality = float(np.min(qual))
     outward = False
     if min_area > 0:
-        flux = float(np.einsum("ij,ij,i->", mesh.centroids, mesh._cross / 2.0,
+        flux = float(np.einsum("ij,ij,i->", mesh.centroids, _frozen_cross(mesh) / 2.0,
                                np.ones(mesh.num_panels)))
         outward = flux > 0
     issues = []
@@ -433,7 +433,8 @@ class TestFrozenGeometry:
             assert np.any(_frozen_corner_cotangents(mesh.vertices[mesh.triangles],
                                                     _frozen_areas(mesh))[0] < 0)
         assert np.array_equal(mesh.areas, _frozen_areas(mesh))
-        assert np.array_equal(mesh._cross, _frozen_cross(mesh))
+        assert np.array_equal(np.ldexp(mesh._unit_cross, 2 * mesh._exponent),
+                              _frozen_cross(mesh))
         assert np.array_equal(mesh.normals, _frozen_normals(mesh))
         assert np.array_equal(mesh.edge_lengths, _frozen_edge_lengths(mesh))
         assert np.array_equal(mesh.center, _frozen_center(mesh))
