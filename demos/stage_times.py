@@ -4,16 +4,18 @@
 # command pays), the stages of one `bem.solve_equilibrium` call (far-field,
 # near-field and self-integral parts of the assembly and the GMRES solve,
 # each timed by wrapping its function in `bem` for the length of the call,
-# and the rest of the call: its validation, the residual matvec and the
-# condition estimate), one `bem.eval_fields` call on the sample points
+# the residual check's matrix-vector product after GMRES, and the rest of
+# the call: its validation and the condition estimate), one
+# `bem.eval_fields` call on the sample points
 # `verify` would scan and one scan of those points as `verify` makes it
 # (`bem.eval_fields_at_unit_scale`, the same evaluation at the mesh's unit
 # scale, then `functionals._scan`: the v-transform, Newton deficit and pbv
 # residual, so the difference of the two rows is the scan's own cost), with
 # `time.perf_counter`.  It also prints the
-# number of lanes the assembly's far field and the `eval_fields` call ran
-# on (one per usable core, as far as the scratch budget allows; read from
-# the `bem._each_chunk` calls they make), the GMRES iteration count and
+# number of lanes the assembly's far field, the matrix-vector products and
+# the `eval_fields` call ran on (one per usable core, as far as the scratch
+# budget and, for the products, the matrix size allow; read from the
+# `bem._each_chunk` calls they make), the GMRES iteration count and
 # condition estimate, and how many evaluation points lay within the mesh's
 # bounding sphere and so needed the winding-number inside test; the last
 # line is the process's peak RSS from `resource`.
@@ -22,14 +24,19 @@
 #
 # `4 --samples 27` is the work of a `capsym verify --shape sphere R 4
 # --samples 27` job, `3 --spheroid --samples 512` that of a level-3 2:1:1
-# spheroid verify with 512 samples.  Set OPENBLAS_NUM_THREADS=1 for
-# single-thread BLAS, and run under `taskset -c 0` for one lane.
+# spheroid verify with 512 samples.  BLAS runs on one thread unless
+# OPENBLAS_NUM_THREADS is set, as in the `capsym` command; run under
+# `taskset -c 0` for one lane.
 
 import argparse
+import os
 import resource
 import subprocess
 import sys
 import time
+
+# before numpy loads OpenBLAS, which reads it once
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -65,13 +72,24 @@ def main() -> None:
     stages = {"far": "_far_entries", "near": "_near_entries", "diagonal": "_self_entries",
               "gmres": "_gmres"}
     originals = {name: getattr(bem, attr) for name, attr in stages.items()}
-    results, lanes = {}, []
-    each_chunk = bem._each_chunk
+    results, lanes, matvec_times = {}, [], []
+    each_chunk, row_block_matvec = bem._each_chunk, bem._row_block_matvec
 
     def recording(body, starts, count):
-        # the far field makes one call, then eval_fields one
+        # the far field makes one call, then each matvec one, then
+        # eval_fields one
         lanes.append(count)
         each_chunk(body, starts, count)
+
+    def timed_matvec(M):
+        matvec = row_block_matvec(M)
+
+        def wrapper(x):
+            t0 = time.perf_counter()
+            y = matvec(x)
+            matvec_times.append(time.perf_counter() - t0)
+            return y
+        return wrapper
 
     def timed(name):
         def wrapper(*a, **kw):
@@ -82,15 +100,18 @@ def main() -> None:
     X = fn.sample_exterior_points(mesh, args.samples, args.seed)
     for name, attr in stages.items():
         setattr(bem, attr, timed(name))
-    bem._each_chunk = recording
+    bem._each_chunk, bem._row_block_matvec = recording, timed_matvec
     try:
         sol = stage("solve", bem.solve_equilibrium, mesh, order)
+        # the residual check is the one matvec after GMRES's
+        times["residual"] = matvec_times[-1]
         stage("eval_fields", bem.eval_fields, sol, X)
     finally:
         for name, attr in stages.items():
             setattr(bem, attr, originals[name])
-        bem._each_chunk = each_chunk
-    times["rest"] = times.pop("solve") - sum(times[name] for name in stages)
+        bem._each_chunk, bem._row_block_matvec = each_chunk, row_block_matvec
+    times["rest"] = times.pop("solve") - sum(times[name] for name in stages) \
+        - times["residual"]
     times["assembly"] = times["far"] + times["near"] + times["diagonal"]
     hbar = results["gmres"][1]
 
@@ -100,9 +121,10 @@ def main() -> None:
     shape = "spheroid 2:1:1" if args.spheroid else "sphere R=1.3"
     print(f"{shape}, level {args.level}: {F} panels, quad order {order}, "
           f"{args.samples} evaluation points")
-    far_lanes, eval_lanes = lanes
-    print(f"  far-field lanes {far_lanes}; evaluation lanes {eval_lanes}; {tested} of "
-          f"{args.samples} evaluation points needed the inside test")
+    far_lanes, matvec_lanes, eval_lanes = lanes[0], lanes[1], lanes[-1]
+    print(f"  far-field lanes {far_lanes}; matvec lanes {matvec_lanes}; evaluation lanes "
+          f"{eval_lanes}; {tested} of {args.samples} evaluation points needed the "
+          "inside test")
     print(f"  GMRES iterations {hbar.shape[1]}; condition estimate {sol.cond_estimate:.3g}")
     for name, t in times.items():
         print(f"  {name:<12} {t:8.3f} s")

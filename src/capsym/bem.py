@@ -19,9 +19,12 @@ of three cubes one contiguous run.  Only numpy is imported; scipy is
 not needed to solve or evaluate.  One batched `eval_fields` gives u, Du
 and D2u off the surface; every other evaluation goes through it, the
 symmetry scan's at the mesh's unit scale (`eval_fields_at_unit_scale`).
-The far field's blocks and `eval_fields`' point chunks run on one lane
-per usable core (`_each_chunk`); no matrix entry depends on the number of
-lanes, and no point's fields on it or on the batch the point came in.
+The far field's blocks, `eval_fields`' point chunks and, on matrices
+large enough to pay for it, the row blocks of GMRES's matrix-vector
+products run on one lane per usable core (`_each_chunk`); no matrix entry
+and no product depends on the number of lanes, and no point's fields on
+it or on the batch the point came in.  Lanes nest with threaded BLAS, so
+callers should run OpenBLAS on one thread, as the `capsym` command does.
 """
 
 from __future__ import annotations
@@ -85,8 +88,12 @@ def _each_chunk(body, starts, lanes: int) -> None:
     caller's `contextvars` context, so the caller's `np.errstate` holds on
     every lane; the numpy passes inside body release the GIL, so the lanes
     overlap.  Returns, or raises a lane's exception, only once every lane
-    has finished, so no lane still writes into the caller's buffers.
+    has finished, so no lane still writes into the caller's buffers; with
+    no chunk at all it returns at once, whatever `lanes` is.
     """
+    starts = list(starts)
+    if not starts:
+        return
     todo = iter(starts)
     lock = threading.Lock()
 
@@ -414,6 +421,47 @@ class EquilibriumSolution:
     sigma_positive: bool
 
 
+# matrices of at least this many entries (F >= 2048) get their
+# matrix-vector products on lanes.  One `M @ x` against two lanes, as the
+# range of five runs' medians on a 2-core Xeon at one BLAS thread: 0.41-0.56
+# against 0.50-0.84 ms at F = 1280 (level 3), 0.93-1.09 against 0.92-1.16
+# ms at F = 1792, 1.23-1.36 against 1.13-1.31 ms at F = 2048, and 16-18
+# against 9.4-11 ms at F = 5120 (level 4)
+_MATVEC_LANE_ENTRIES = 2**22
+# rows of a matvec block: a multiple of 64, so that every block starts on
+# the row alignment of the whole matrix; 320-row blocks ran no faster than
+# one `M @ x` at level 4
+_MATVEC_ROWS = 640
+
+
+def _row_block_matvec(M: np.ndarray):
+    """x -> M x for the Fortran-ordered square matrix M, one `M[rows] @ x`
+    per block of _MATVEC_ROWS rows on the lanes of `_each_chunk`.
+
+    A matrix of fewer than _MATVEC_LANE_ENTRIES entries is one block on one
+    lane, as threads cost more than they save on a product that small; a
+    larger one gets one lane per usable core, but no more lanes than
+    blocks.  Each row's product is the same BLAS arithmetic as in `M @ x`,
+    whatever the block or the number of lanes: blocks that start off a
+    multiple of 64 rows change the last bits.
+    """
+    F = len(M)
+    rows = F if M.size < _MATVEC_LANE_ENTRIES else _MATVEC_ROWS
+    lanes = min(_usable_cores(), -(-F // rows))
+    starts = range(0, F, rows)
+
+    def matvec(x):
+        y = np.empty(F)
+
+        def block(lane, start):
+            np.matmul(M[start:start + rows], x, out=y[start:start + rows])
+
+        _each_chunk(block, starts, lanes)
+        return y
+
+    return matvec
+
+
 # GMRES stops at ||1 - M sigma||_2 <= _GMRES_RTOL ||1||_2, and gives up
 # after _GMRES_MAXITER iterations: the L4 sphere takes 36, the L4 2:1:1
 # spheroid 54, about a dozen more per refinement level
@@ -488,9 +536,10 @@ def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
     every row by one matrix-vector product before the matrix is freed.
     """
     M = assemble_single_layer(mesh, quad_order)
-    sigma, hbar = _gmres(M.__matmul__, M.diagonal().copy(), np.ones(mesh.num_panels))
-    residual = float(np.max(np.abs(M @ sigma - 1.0)))
-    del M
+    matvec = _row_block_matvec(M)
+    sigma, hbar = _gmres(matvec, M.diagonal().copy(), np.ones(mesh.num_panels))
+    residual = float(np.max(np.abs(matvec(sigma) - 1.0)))
+    del M, matvec
     s = np.linalg.svd(hbar, compute_uv=False)
     cond = float(s[0] / s[-1])
     if cond > cond_limit:

@@ -6,14 +6,22 @@ non-finite report value, arithmetic failure or argument usage error, 3
 mesh validation failure, 4 unreadable input or unwritable output file, 5
 malformed or unsupported shape spec on any subcommand.  The
 ball/not-ball verdict is data inside the report, never an exit code.
+
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set:
+the solver's matrix-vector products run on one lane per core, and BLAS
+threads inside those lanes would compete with them for the same cores.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
+
+# before numpy loads OpenBLAS, which reads it once
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import bem, functionals, geometry, identity_lab, oracles
 

@@ -645,6 +645,68 @@ class TestLanes:
         for one, three in zip(runs[1], runs[3]):
             assert np.array_equal(one, three)
 
+    def test_fields_at_zero_points(self, level2_sol):
+        u, Du, D2u = bem.eval_fields(level2_sol, np.empty((0, 3)))
+        assert (u.shape, Du.shape, D2u.shape) == ((0,), (0, 3), (0, 3, 3))
+
+    @pytest.mark.parametrize("lanes", [0, 1, 3])
+    def test_no_chunk_starts_no_lane(self, lanes):
+        threads = threading.active_count()
+        bem._each_chunk(lambda lane, start: pytest.fail("no chunk to run"), [], lanes)
+        assert threading.active_count() == threads
+
+    # the moved spheroid's matrix (F = 320) and its leading block (F = 301,
+    # not a multiple of 64), in blocks of one and of three alignment units
+    @pytest.mark.parametrize("panels", [320, 301])
+    @pytest.mark.parametrize("rows", [64, 192])
+    def test_matvec_equals_matmul_at_one_and_three_lanes(self, panels, rows, monkeypatch):
+        M = bem.assemble_single_layer(_moved_spheroid(), 6)
+        M = np.asfortranarray(M[:panels, :panels])
+        x = np.random.default_rng(3).uniform(0.5, 1.5, panels)
+        whole = M @ x
+        # below the size threshold: one block on one lane
+        assert np.array_equal(bem._row_block_matvec(M)(x), whole)
+        monkeypatch.setattr(bem, "_MATVEC_LANE_ENTRIES", 0)
+        monkeypatch.setattr(bem, "_MATVEC_ROWS", rows)
+        for cores in (1, 3):
+            monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                assert np.array_equal(bem._row_block_matvec(M)(x), whole)
+            finally:
+                sys.setswitchinterval(switch)
+
+    def test_solution_equal_at_one_and_three_lanes(self, monkeypatch):
+        mesh = _moved_spheroid()
+        sols = {"whole": bem.solve_equilibrium(mesh, 6)}
+        monkeypatch.setattr(bem, "_MATVEC_LANE_ENTRIES", 0)
+        monkeypatch.setattr(bem, "_MATVEC_ROWS", 64)
+        for cores in (1, 3):
+            monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
+            sols[cores] = bem.solve_equilibrium(mesh, 6)
+        for sol in (sols[1], sols[3]):
+            assert np.array_equal(sol.sigma, sols["whole"].sigma)
+            assert sol.residual_inf == sols["whole"].residual_inf
+            assert sol.cond_estimate == sols["whole"].cond_estimate
+
+    @pytest.mark.parametrize("shape", ["spheroid-L3", "sphere-L4"])
+    def test_matvec_lanes_by_matrix_size(self, shape, lane_grids):
+        mesh = {"spheroid-L3": lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 3),
+                "sphere-L4": lambda: geo.make_sphere_mesh(1.0, 4)}[shape]()
+        bem.solve_equilibrium(mesh, 6)
+        F = mesh.num_panels
+        # the far field's call, then one per GMRES iteration and the residual's
+        matvecs = lane_grids[1:]
+        assert len(matvecs) >= 2
+        if shape == "spheroid-L3":
+            assert F * F < bem._MATVEC_LANE_ENTRIES
+            assert all(grid == (1, [0]) for grid in matvecs)
+        else:
+            starts = list(range(0, F, bem._MATVEC_ROWS))
+            lanes = min(bem._usable_cores(), len(starts))
+            assert all(grid == (lanes, starts) for grid in matvecs)
+
     def test_fields_independent_of_the_batch(self, level2_sol):
         X = fn.sample_exterior_points(level2_sol.mesh, 17, 3)
         fields = bem.eval_fields(level2_sol, X)

@@ -695,3 +695,32 @@ class TestScipyFreeCommands:
         assert done.returncode == 0, done.stderr
         # the value printed when scipy was imported with the package
         assert json.loads(done.stdout)["capacity"] == 16.527174043780974
+
+
+def _without_blas_setting(args, **env):
+    """stdout of `python args...` with OPENBLAS_NUM_THREADS removed from the
+    environment, then `env` added."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(PYTHONPATH=src, **env)
+    return subprocess.run([sys.executable, *args], env=environ, capture_output=True,
+                          text=True, check=True, timeout=300).stdout
+
+
+class TestBlasThreads:
+    def test_package_import_loads_no_numpy(self):
+        code = ("import os, sys; before = dict(os.environ); import capsym; "
+                "print('numpy' in sys.modules, dict(os.environ) == before)")
+        assert _without_blas_setting(["-c", code]).split() == ["False", "True"]
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_cli_sets_one_thread_unless_set(self, preset):
+        code = "import os, capsym.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        assert _without_blas_setting(["-c", code], **env).strip() == (preset or "1")
+
+    def test_verify_output_equals_one_thread_output(self):
+        argv = ["-m", "capsym.cli", "verify", "--shape", "sphere", "1.37", "4",
+                "--samples", "27", "--seed", "7"]
+        assert _without_blas_setting(argv) == \
+            _without_blas_setting(argv, OPENBLAS_NUM_THREADS="1")
