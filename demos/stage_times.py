@@ -1,8 +1,9 @@
 # # Stage times of one equilibrium solve and one batch of evaluations
 #
-# Times `import capsym` in a fresh interpreter (the start-up every `capsym`
-# command pays), the stages of one `bem.solve_equilibrium` call (far-field,
-# near-field and self-integral parts of the assembly and the GMRES solve,
+# Times `import capsym.cli` in a fresh interpreter (the start-up every
+# `capsym` command pays; `import capsym` alone loads nothing), the stages
+# of one `bem.solve_equilibrium` call (far-field, near-field and
+# self-integral parts of the assembly and the GMRES solve,
 # each timed by wrapping its function in `bem` for the length of the call,
 # the residual check's matrix-vector product after GMRES, and the rest of
 # the call: its validation and the condition estimate), one
@@ -53,7 +54,7 @@ def main() -> None:
     args = ap.parse_args()
 
     times = {}
-    clock = "import time; t = time.perf_counter(); import capsym; print(time.perf_counter() - t)"
+    clock = "import time; t = time.perf_counter(); import capsym.cli; print(time.perf_counter() - t)"
     times["import"] = float(subprocess.run([sys.executable, "-c", clock], capture_output=True,
                                            text=True, check=True).stdout)
 

@@ -11,14 +11,17 @@ differentiating the kernel under the integral.
 
 `assemble_single_layer` builds the whole square matrix: diagonal
 entries by the exact integral of 1/r over a planar triangle from its
-centroid, near-diagonal entries by one level of 4:1 panel subdivision.
-The near pairs are found on a uniform grid of cubes whose side is twice
-the longest edge (`_near_pairs`): a pair can only join centroids in
-neighbouring cubes, and sorting the centroids by cube makes each column
-of three cubes one contiguous run.  Only numpy is imported; scipy is
-not needed to solve or evaluate.  One batched `eval_fields` gives u, Du
-and D2u off the surface; every other evaluation goes through it, the
-symmetry scan's at the mesh's unit scale (`eval_fields_at_unit_scale`).
+centroid, near-diagonal entries by one level of 4:1 panel subdivision,
+every other entry by the plain panel rule, whose squared distances come
+from one k = 5 matrix product per block, |c|^2 + |y|^2 - 2 c.y at the
+mesh's centred unit scale (`_far_entries`).  The near pairs are found on
+a uniform grid of cubes whose side is twice the longest edge
+(`_near_pairs`): a pair can only join centroids in neighbouring cubes,
+and sorting the centroids by cube makes each column of three cubes one
+contiguous run.  Only numpy is imported; scipy is not needed to solve or
+evaluate.  One batched `eval_fields` gives u, Du and D2u off the
+surface; every other evaluation goes through it, the symmetry scan's at
+the mesh's unit scale (`eval_fields_at_unit_scale`).
 The far field's blocks, `eval_fields`' point chunks and, on matrices
 large enough to pay for it, the row blocks of GMRES's matrix-vector
 products run on one lane per usable core (`_each_chunk`); no matrix entry
@@ -53,12 +56,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# element budget of one kernel temporary.  The kernel loops keep the three
-# coordinates in separate contiguous planes and cut their work into chunks
-# whose planes hold at most _CHUNK doubles (1 MB): two (panels*Q, rows)
-# planes in the far field and seven (points, F*Q) planes in eval_fields,
-# in both cases shared among the lanes, so that all lanes' planes together
-# stay within the budget of one.
+# element budget of one kernel temporary.  The kernel loops cut their work
+# into chunks whose planes hold at most _CHUNK doubles (1 MB): one
+# (panels*Q, rows) plane of squared distances per lane in the far field
+# and seven (points, F*Q) planes per lane in eval_fields, in both cases
+# shared among the lanes, so that all lanes' planes together stay within
+# the budget of one.
 # Every numpy pass over them then runs in cache, where a (rows, F*Q, 3)
 # difference block would stream through DRAM once per pass.  The
 # near-field pairs and the winding-number test are chunked by the same
@@ -243,55 +246,88 @@ def _lane_grid(width: int, count: int) -> tuple[int, int]:
     return min(lanes, -(-count // per)), per
 
 
+# the far field's row blocks hold a multiple of this many collocation
+# points, the last one padded: OpenBLAS's AVX-512 dgemm rounds a point in
+# the tail of a product whose size is not a multiple of its unroll (16)
+# otherwise than in the body, so without it an entry would depend on the
+# block that holds it
+_FAR_ROWS = 64
+
+
+# entries whose pair is closer than the near radius are overwritten, so a
+# collocation point on its own panel's quadrature point (order 1) or the
+# rounding of a squared distance next to zero is no error here
+@np.errstate(divide="ignore", invalid="ignore")
 def _far_entries(out, mesh: TriMesh, order: int) -> None:
     """Every entry of `out` by the plain panel rule.
 
     Block by block, each block a run of rows and a chunk of columns, so
     that each block lands in a contiguous run of columns of the
-    Fortran-ordered `out`: the squared distances from the chunk's
-    quadrature points to the block's collocation points are summed
-    coordinate by coordinate in two reused (points, rows) planes, then
-    turned into w/|c - y| in place and summed over each panel's points.
-    Distances are formed from the differences, never as
-    |c|^2 + |y|^2 - 2 c.y, whose cancellation would cost digits next to
-    the panels.
+    Fortran-ordered `out`.  The squared distances from the chunk's
+    quadrature points y to the block's collocation points c come from one
+    k = 5 matrix product into the lane's one (points, rows) plane,
+    |c - y|^2 = [-2y, 1, |y|^2] . [c, |c|^2, 1], which is then turned into
+    w/|c - y| in place and summed over each panel's points.  c and y are
+    taken relative to the mesh's centre and times 2^-e (e =
+    `TriMesh._exponent`, exact), so every term is O(1) at any radius, and
+    the weights times 2^-e, so the entries come out at the mesh's own
+    scale.
+
+    The product's rounding is about eps (r0/|c - y|)^2 relative, r0 the
+    mesh's radius about its centre: the cancellation that the difference
+    form avoids.  It never reaches a pair next to a panel: a pair (i, j)
+    closer than twice T_j's longest edge h_j is overwritten by
+    `_near_entries`, so every entry kept here has |c - y| above about
+    1.3 h_j, and its relative change from the difference form stays near
+    1e-14 from level 2 to 4.
 
     The blocks are spread over the lanes of `_lane_grid`, which narrows
     them as lanes are added.  Rows are split only where one panel's plane
     of every row would not fit each usable core's share of the budget
     (from level 5 up, or on many cores), so every core still gets a lane.
     Each entry is one panel's sum over its own quadrature points for one
-    row, the same arithmetic whatever the block or the lane that computes
-    it, so no entry depends on the number of cores.  Each lane gets its own
-    scratch planes, allocated here: blocks that worker threads allocate and
-    free stay in glibc's per-thread arenas and raise the peak RSS.
+    row, and each squared distance the same five-term BLAS sum whatever
+    the block or the lane that computes it, so no entry depends on the
+    number of cores or of BLAS threads.  That takes two precautions.
+    Every block of rows holds a multiple of _FAR_ROWS rows and starts on
+    one (`C` is padded).  And no product has a single column, which numpy
+    would hand to gemv, whose sums round differently: with one quadrature
+    point a panel the chunks hold an even number of panels, so every
+    chunk does, as a closed triangle mesh has an even number of panels
+    (3F = 2E).  Each lane gets its own scratch plane, allocated here:
+    blocks that worker threads allocate and free stay in glibc's
+    per-thread arenas and raise the peak RSS.
     """
     pts, wts = panel_quadrature(mesh, order)
     F, Q = wts.shape
-    C = np.ascontiguousarray(mesh.centroids.T)
-    block = min(F, _chunk_len(_usable_cores() * Q))
+    e, center = mesh._exponent, mesh.center
+    c = np.ldexp(mesh.centroids - center, -e)
+    y = np.ldexp(pts.reshape(-1, 3) - center, -e)
+    # columns (c, |c|^2, 1) of the centroids, zero on the padding, and
+    # rows (-2y, 1, |y|^2) of the points
+    C = np.zeros((5, -(-F // _FAR_ROWS) * _FAR_ROWS))
+    C[:3, :F], C[3, :F], C[4] = c.T, _dot(c, c), 1.0
+    Y = np.column_stack([-2.0 * y, np.ones(F * Q), _dot(y, y)])
+    W = np.ldexp(wts, -e).reshape(-1, 1)
+    block = min(C.shape[1], max(_FAR_ROWS, _chunk_len(_usable_cores() * Q)
+                                // _FAR_ROWS * _FAR_ROWS))
     lanes, cols = _lane_grid(block * Q, F)
+    if Q == 1:
+        cols = max(2, cols - cols % 2)
     size = min(cols, F) * block
-    planes = np.empty((lanes, 2, size * Q))
+    planes = np.empty((lanes, size * Q))
     sums = np.empty((lanes, size))
 
     def chunk(lane, at):
         first, start = at
-        c = C[:, first:first + block]
-        y = pts[start:start + cols].reshape(-1, 3)
-        w = wts[start:start + cols].reshape(-1, 1)
-        b, m = c.shape[1], len(y) // Q
-        d, t = planes[lane, :, :len(y) * b].reshape(2, len(y), b)
-        np.subtract(c[0], y[:, 0:1], out=d)
-        np.multiply(d, d, out=d)
-        for k in (1, 2):
-            np.subtract(c[k], y[:, k:k + 1], out=t)
-            np.multiply(t, t, out=t)
-            np.add(d, t, out=d)
+        a, ys = C[:, first:first + block], Y[start * Q:(start + cols) * Q]
+        b, m, k = a.shape[1], len(ys) // Q, min(block, F - first)
+        d = planes[lane, :len(ys) * b].reshape(len(ys), b)
+        np.matmul(ys, a, out=d)
         np.sqrt(d, out=d)
-        np.divide(w, d, out=d)
+        np.divide(W[start * Q:(start + m) * Q], d, out=d)
         s = d.reshape(m, Q, b).sum(axis=1, out=sums[lane, :m * b].reshape(m, b))
-        np.divide(s.T, FOUR_PI, out=out[first:first + b, start:start + m])
+        np.divide(s[:, :k].T, FOUR_PI, out=out[first:first + k, start:start + m])
 
     _each_chunk(chunk, itertools.product(range(0, F, block), range(0, F, cols)), lanes)
 
@@ -599,9 +635,11 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     inside raises ValueError; a point beyond that sphere cannot be inside
     and is not tested.  Then the point chunks run on the lanes of
     `_lane_grid`, which narrows them as lanes are added.  Every sum over
-    the quadrature points is one row's einsum or sum, with no BLAS, so a
-    point's u, Du and D2u keep their bits whatever its batch, its place in
-    it or the number of cores.
+    the quadrature points is the row sum of a contiguous product plane,
+    with no BLAS and no einsum (whose order of summation for a one-row
+    operand differs from that for a row of a larger one beyond 8192
+    quadrature points), so a point's u, Du and D2u keep their bits
+    whatever its batch, its place in it or the number of cores.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
@@ -621,8 +659,9 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     P, n = len(X), len(sw)
     u, Du, D2u = np.empty(P), np.empty((P, 3)), np.empty((P, 3, 3))
     lanes, chunk = _lane_grid(n, P)
-    # per lane: the three planes of r = x - y, then 1/|r|, sigma w/|r|^3,
-    # sigma w/|r|^5 and one scratch plane, each (points, F*Q)
+    # per lane: the three planes of r = x - y, then 1/|r| (later the
+    # products to sum), sigma w/|r|^3, sigma w/|r|^5 and one scratch plane,
+    # each (points, F*Q)
     planes = np.empty((lanes, 7, min(chunk, P), n))
 
     def fields(lane, start):
@@ -639,15 +678,19 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
         np.divide(1.0, inv_r, out=inv_r)
         np.multiply(inv_r, inv_r, out=t)
         np.multiply(sw, inv_r, out=w3)
+        at = slice(start, start + m)
+        u[at] = w3.sum(axis=1)
         np.multiply(w3, t, out=w3)
         np.multiply(w3, t, out=w5)
-        at = slice(start, start + m)
-        u[at] = np.einsum("pn,n->p", inv_r, sw)
+        # the 1/|r| plane is free from here on: each product lands in it
+        # and is summed row by row
         for a in range(3):
-            Du[at, a] = -np.einsum("pn,pn->p", w3, diff[a])
+            np.multiply(w3, diff[a], out=inv_r)
+            Du[at, a] = -inv_r.sum(axis=1)
             np.multiply(w5, diff[a], out=t)
             for b in range(a, 3):
-                D2u[at, a, b] = D2u[at, b, a] = 3.0 * np.einsum("pn,pn->p", t, diff[b])
+                np.multiply(t, diff[b], out=inv_r)
+                D2u[at, a, b] = D2u[at, b, a] = 3.0 * inv_r.sum(axis=1)
         D2u[at] -= w3.sum(axis=1)[:, None, None] * np.eye(3)
 
     _each_chunk(fields, range(0, P, chunk), lanes)

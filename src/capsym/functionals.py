@@ -195,7 +195,10 @@ def _scan(u, Du, D2u) -> tuple[float, np.ndarray, float]:
     n = np.shape(Du)[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN is reported
         v, Dv, D2v = v_transform(u, Du, D2u, n)
-        deficits = symfun.newton_deficit(D2v) / np.float_power(D2v.trace(axis1=1, axis2=2), 2)
+        # Tr^2 by one product, which is correctly rounded and so exactly
+        # covariant under a power-of-two scale, as pow is not
+        trace = D2v.trace(axis1=1, axis2=2)
+        deficits = symfun.newton_deficit(D2v) / (trace * trace)
         residuals = np.abs(pbv_residual(v, Dv, D2v, n)) / ((n / 2.0) * symfun.dot(Dv, Dv) / v)
         return float(np.max(deficits)), deficits, float(np.max(residuals, initial=0.0))
 

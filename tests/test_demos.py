@@ -2,6 +2,7 @@
 so a signature change under a demo fails here instead of in a reader's hands."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ SRC = Path(capsym.__file__).resolve().parent.parent
 
 DEMOS = [
     ("ball_equality_walkthrough.py",),
+    ("bench_matrix.py", "--levels", "2", "--spheroid-levels", "2"),
     ("calibrate_noise.py", "--min-level", "0", "--max-level", "2"),
     ("identity_tour.py",),
     ("sphere_vs_spheroid.py",),
@@ -52,3 +54,26 @@ def test_calibration_table_pastes_into_the_floors(tmp_path):
     for level, row in table.items():
         assert row.keys() == SPHERE_NOISE_FLOOR[level].keys()
         assert all(isinstance(x, float) and x > 0 for x in row.values())
+
+
+def test_bench_matrix_rows(tmp_path):
+    """Each command and shape gives a row with its wall time, peak RSS and
+    capacity error, and each shape its stage times; a second label joins
+    the first in the same file."""
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"runs": {"a": {}}}))
+    run_demo(("bench_matrix.py", "--levels", "2", "--spheroid-levels", "2",
+              "--samples", "8", "--output", str(out), "--label", "b"), tmp_path)
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["a", "b"]
+    rows = runs["b"]["rows"]
+    assert [(r["shape"], r["command"]) for r in rows] == [
+        ("sphere", "capacity"), ("sphere", "verify"),
+        ("spheroid", "capacity"), ("spheroid", "verify")]
+    for row in rows:
+        assert row["exit"] == 0 and row["level"] == 2
+        assert row["wall_s"] > 0 and row["peak_rss_mb"] > 0
+        assert 0 < row["cap_rel_err"] < 0.02
+    assert [r["verdict"] for r in rows if r["command"] == "verify"] == [True, False]
+    for stages in runs["b"]["stages_s"].values():
+        assert {"import", "far", "near", "gmres", "eval_fields", "scan"} <= stages.keys()

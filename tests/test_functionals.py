@@ -369,7 +369,8 @@ def scan_point_by_point(sol, pts):
         Dv = a * Du
         D2v = a * D2u + (2.0 * n / m**2) * u ** (-(2.0 * n - 2.0) / m) * np.outer(Du, Du)
         dev = D2v - (np.trace(D2v) / n) * np.eye(n)
-        deficits.append(0.5 * float(np.sum(dev * dev)) / float(np.trace(D2v)) ** 2)
+        tr = float(np.trace(D2v))
+        deficits.append(0.5 * float(np.sum(dev * dev)) / (tr * tr))
         q = (n / 2.0) * float(Dv @ Dv) / v
         residuals.append(abs(float(np.trace(D2v) - q)) / q)
     return max(deficits), np.array(deficits), max(residuals)
