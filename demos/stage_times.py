@@ -14,8 +14,8 @@
 # residual, so the difference of the two rows is the scan's own cost), with
 # `time.perf_counter`.  It also prints the
 # number of lanes the assembly's far field, the matrix-vector products and
-# the `eval_fields` call ran on (one per usable core, as far as the scratch
-# budget and, for the products, the matrix size allow; read from the
+# the `eval_fields` call ran on (one per usable core, but no more than
+# chunks, and for the products only from a matrix size up; read from the
 # `bem._each_chunk` calls they make), the GMRES iteration count and
 # condition estimate, and how many evaluation points lay within the mesh's
 # bounding sphere and so needed the winding-number inside test; the last

@@ -22,18 +22,18 @@ contiguous run.  Only numpy is imported; scipy is not needed to solve or
 evaluate.  One batched `eval_fields` gives u, Du and D2u off the
 surface; every other evaluation goes through it, the symmetry scan's at
 the mesh's unit scale (`eval_fields_at_unit_scale`).
-The far field's blocks, `eval_fields`' point chunks and, on matrices
-large enough to pay for it, the row blocks of GMRES's matrix-vector
-products run on one lane per usable core (`_each_chunk`); no matrix entry
-and no product depends on the number of lanes, and no point's fields on
-it or on the batch the point came in.  Lanes nest with threaded BLAS, so
-callers should run OpenBLAS on one thread, as the `capsym` command does.
+The far field's column chunks, `eval_fields`' point chunks and, on
+matrices large enough to pay for it, the row blocks of GMRES's
+matrix-vector products run on one lane per usable core (`_each_chunk`);
+no matrix entry and no product depends on the number of lanes, and no
+point's fields on it or on the batch the point came in.  Lanes nest with
+threaded BLAS, so callers should run OpenBLAS on one thread, as the
+`capsym` command does.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
 import math
 import os
 import threading
@@ -58,10 +58,10 @@ def __getattr__(name):
 
 # element budget of one kernel temporary.  The kernel loops cut their work
 # into chunks whose planes hold at most _CHUNK doubles (1 MB): one
-# (panels*Q, rows) plane of squared distances per lane in the far field
-# and seven (points, F*Q) planes per lane in eval_fields, in both cases
-# shared among the lanes, so that all lanes' planes together stay within
-# the budget of one.
+# (panels*Q, F) plane of squared distances per lane in the far field and
+# seven (points, F*Q) planes per lane in eval_fields, in both cases shared
+# among the lanes, so that all lanes' planes together stay within the
+# budget of one unless one item a lane exceeds it (`_lane_grid`).
 # Every numpy pass over them then runs in cache, where a (rows, F*Q, 3)
 # difference block would stream through DRAM once per pass.  The
 # near-field pairs and the winding-number test are chunked by the same
@@ -233,25 +233,16 @@ def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
 
 def _lane_grid(width: int, count: int) -> tuple[int, int]:
     """Lanes and items per chunk of `count` items that each take `width`
-    elements of a plane: a far-field panel (its rows times quadrature
+    elements of a plane: a far-field panel (every row times its quadrature
     points) or an evaluation point (F*Q).
 
-    One lane per usable core, but no more lanes than chunks, and all lanes'
-    scratch together within the one-lane budget: every lane's planes hold
-    at least one item and together at most _CHUNK elements, whatever the
-    number of cores.
+    One lane per usable core, but no more lanes than chunks.  The chunks
+    narrow so that all lanes' planes together hold at most _CHUNK
+    elements, but never below one item a lane.
     """
-    lanes = max(1, min(_usable_cores(), _CHUNK // width))
+    lanes = max(1, min(_usable_cores(), count))
     per = _chunk_len(width * lanes)
     return min(lanes, -(-count // per)), per
-
-
-# the far field's row blocks hold a multiple of this many collocation
-# points, the last one padded: OpenBLAS's AVX-512 dgemm rounds a point in
-# the tail of a product whose size is not a multiple of its unroll (16)
-# otherwise than in the body, so without it an entry would depend on the
-# block that holds it
-_FAR_ROWS = 64
 
 
 # entries whose pair is closer than the near radius are overwritten, so a
@@ -261,11 +252,10 @@ _FAR_ROWS = 64
 def _far_entries(out, mesh: TriMesh, order: int) -> None:
     """Every entry of `out` by the plain panel rule.
 
-    Block by block, each block a run of rows and a chunk of columns, so
-    that each block lands in a contiguous run of columns of the
-    Fortran-ordered `out`.  The squared distances from the chunk's
-    quadrature points y to the block's collocation points c come from one
-    k = 5 matrix product into the lane's one (points, rows) plane,
+    Chunk by chunk, each chunk every row of a run of panels, a contiguous
+    run of columns of the Fortran-ordered `out`.  The squared distances
+    from the chunk's quadrature points y to every collocation point c come
+    from one k = 5 matrix product into the lane's one (points, F) plane,
     |c - y|^2 = [-2y, 1, |y|^2] . [c, |c|^2, 1], which is then turned into
     w/|c - y| in place and summed over each panel's points.  c and y are
     taken relative to the mesh's centre and times 2^-e (e =
@@ -281,55 +271,49 @@ def _far_entries(out, mesh: TriMesh, order: int) -> None:
     1.3 h_j, and its relative change from the difference form stays near
     1e-14 from level 2 to 4.
 
-    The blocks are spread over the lanes of `_lane_grid`, which narrows
-    them as lanes are added.  Rows are split only where one panel's plane
-    of every row would not fit each usable core's share of the budget
-    (from level 5 up, or on many cores), so every core still gets a lane.
-    Each entry is one panel's sum over its own quadrature points for one
-    row, and each squared distance the same five-term BLAS sum whatever
-    the block or the lane that computes it, so no entry depends on the
-    number of cores or of BLAS threads.  That takes two precautions.
-    Every block of rows holds a multiple of _FAR_ROWS rows and starts on
-    one (`C` is padded).  And no product has a single column, which numpy
-    would hand to gemv, whose sums round differently: with one quadrature
-    point a panel the chunks hold an even number of panels, so every
-    chunk does, as a closed triangle mesh has an even number of panels
-    (3F = 2E).  Each lane gets its own scratch plane, allocated here:
-    blocks that worker threads allocate and free stay in glibc's
-    per-thread arenas and raise the peak RSS.
+    The chunks are spread over the lanes of `_lane_grid`, which narrows
+    them as lanes are added.  Each entry is one panel's sum over its own
+    quadrature points for one row, and every product holds every
+    collocation point in the same column, so each squared distance is the
+    same five-term BLAS sum whatever the chunk or the lane that computes
+    it, and no entry depends on the number of cores or of BLAS threads.
+    No product has a single quadrature point, which numpy would hand to
+    gemv, whose sums round differently: with one quadrature point a panel
+    the chunks hold an even number of panels, so every chunk does, as a
+    closed triangle mesh has an even number of panels (3F = 2E).  Each
+    lane gets its own scratch plane, allocated here: planes that worker
+    threads allocate and free stay in glibc's per-thread arenas and raise
+    the peak RSS.
     """
     pts, wts = panel_quadrature(mesh, order)
     F, Q = wts.shape
     e, center = mesh._exponent, mesh.center
     c = np.ldexp(mesh.centroids - center, -e)
     y = np.ldexp(pts.reshape(-1, 3) - center, -e)
-    # columns (c, |c|^2, 1) of the centroids, zero on the padding, and
-    # rows (-2y, 1, |y|^2) of the points
-    C = np.zeros((5, -(-F // _FAR_ROWS) * _FAR_ROWS))
-    C[:3, :F], C[3, :F], C[4] = c.T, _dot(c, c), 1.0
+    # columns (c, |c|^2, 1) of the centroids and rows (-2y, 1, |y|^2) of
+    # the points
+    C = np.empty((5, F))
+    C[:3], C[3], C[4] = c.T, _dot(c, c), 1.0
     Y = np.column_stack([-2.0 * y, np.ones(F * Q), _dot(y, y)])
     W = np.ldexp(wts, -e).reshape(-1, 1)
-    block = min(C.shape[1], max(_FAR_ROWS, _chunk_len(_usable_cores() * Q)
-                                // _FAR_ROWS * _FAR_ROWS))
-    lanes, cols = _lane_grid(block * Q, F)
+    lanes, cols = _lane_grid(F * Q, F)
     if Q == 1:
         cols = max(2, cols - cols % 2)
-    size = min(cols, F) * block
-    planes = np.empty((lanes, size * Q))
-    sums = np.empty((lanes, size))
+    planes = np.empty((lanes, min(cols, F) * Q * F))
 
-    def chunk(lane, at):
-        first, start = at
-        a, ys = C[:, first:first + block], Y[start * Q:(start + cols) * Q]
-        b, m, k = a.shape[1], len(ys) // Q, min(block, F - first)
-        d = planes[lane, :len(ys) * b].reshape(len(ys), b)
-        np.matmul(ys, a, out=d)
+    def chunk(lane, start):
+        at = slice(start * Q, (start + cols) * Q)
+        ys = Y[at]
+        m = len(ys) // Q
+        d = planes[lane, :len(ys) * F].reshape(len(ys), F)
+        np.matmul(ys, C, out=d)
         np.sqrt(d, out=d)
-        np.divide(W[start * Q:(start + m) * Q], d, out=d)
-        s = d.reshape(m, Q, b).sum(axis=1, out=sums[lane, :m * b].reshape(m, b))
-        np.divide(s[:, :k].T, FOUR_PI, out=out[first:first + k, start:start + m])
+        np.divide(W[at], d, out=d)
+        # the chunk's columns of `out`, transposed: a contiguous (m, F) run
+        s = d.reshape(m, Q, F).sum(axis=1, out=out[:, start:start + m].T)
+        np.divide(s, FOUR_PI, out=s)
 
-    _each_chunk(chunk, itertools.product(range(0, F, block), range(0, F, cols)), lanes)
+    _each_chunk(chunk, range(0, F, cols), lanes)
 
 
 def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -458,6 +458,8 @@ def load_off(path) -> TriMesh:
         nv, nf, _ne = (int(x) for x in parts)
     except ValueError:
         raise OffParseError(f"line {no}: counts must be integers") from None
+    if nv < 0 or nf < 0:
+        raise OffParseError(f"line {no}: vertex and face counts must not be negative")
     pos += 1
 
     if len(lines) - pos < nv + nf:

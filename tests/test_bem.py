@@ -512,10 +512,9 @@ class TestFarFieldProduct:
 
     @pytest.mark.parametrize("order", [6, 1])
     @pytest.mark.parametrize("name", ["sphere-L1", "moved-spheroid-L2"])
-    def test_matrix_equal_on_split_rows_at_one_and_three_lanes(self, name, order,
-                                                                lane_grids, monkeypatch):
-        # the L1 sphere's 80 panels fill two 64-row blocks, the second one
-        # padded; the moved L2 spheroid has 320
+    def test_matrix_equal_on_whole_row_chunks_at_one_and_three_lanes(self, name, order,
+                                                                      lane_grids, monkeypatch):
+        # the L1 sphere has 80 panels, the moved L2 spheroid 320
         mesh = {"sphere-L1": lambda: geo.make_sphere_mesh(1.0, 1),
                 "moved-spheroid-L2": _moved_spheroid}[name]()
         F, Q = mesh.num_panels, len(bem.triangle_rule(order)[1])
@@ -532,10 +531,11 @@ class TestFarFieldProduct:
                     assert np.array_equal(bem.assemble_single_layer(mesh, order), whole)
                 finally:
                     sys.setswitchinterval(switch)
-        # some assembly ran on three lanes, and the last one split the rows
-        # into blocks of 64
-        assert max(lanes for lanes, _ in lane_grids) == 3
-        assert {first for first, _ in lane_grids[-1][1]} == set(range(0, F, 64))
+        # where one panel's plane of every row fills the budget, three cores
+        # gave three lanes, each chunk one panel of every row (two with one
+        # quadrature point a panel, so that no product has a single one)
+        lanes, starts = lane_grids[-1]
+        assert lanes == 3 and starts == list(range(0, F, 1 if Q > 1 else 2))
 
     def test_matrix_independent_of_blas_threads(self):
         src = os.path.dirname(os.path.dirname(bem.__file__))
@@ -678,7 +678,7 @@ class TestLanes:
         assert len(done) == 8 and len(set(done)) == 8
         assert threading.active_count() == threads
 
-    def test_row_blocks_equal_at_one_and_three_lanes(self, lane_grids, monkeypatch):
+    def test_panel_chunks_equal_at_one_and_three_lanes(self, lane_grids, monkeypatch):
         mesh = _moved_scaled_spheroid()
         F = mesh.num_panels
         # one panel's plane of every row fills the budget, as from level 5 up
@@ -687,12 +687,10 @@ class TestLanes:
         for cores in (1, 3):
             monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
             runs[cores] = bem.assemble_single_layer(mesh, 6)
-        (one, blocks_one), (three, blocks_three) = lane_grids
-        assert one == 1 and {first for first, _ in blocks_one} == {0}
-        # three lanes, each on a block of 64 rows of one panel
-        firsts = sorted({first for first, _ in blocks_three})
-        assert three == 3 and firsts == [0, 64, 128, 192, 256] and len(blocks_three) == 5 * F
-        assert firsts[1] * 6 * three <= bem._CHUNK
+        # one lane, then three, each chunk one panel of every row
+        (one, starts_one), (three, starts_three) = lane_grids
+        assert one == 1 and three == 3
+        assert starts_one == starts_three == list(range(F))
         assert np.array_equal(runs[1], runs[3])
 
     @pytest.mark.parametrize("lanes", [1, 3])
@@ -726,21 +724,25 @@ class TestLanes:
     def test_fields_equal_at_one_and_three_lanes(self, spheroid2_sol, lane_grids, monkeypatch):
         X = fn.sample_exterior_points(spheroid2_sol.mesh, 40, 2)
         n = spheroid2_sol.mesh.num_panels * 6
-        # three lanes of one point a chunk, one lane of three
-        monkeypatch.setattr(bem, "_CHUNK", 3 * n)
         runs = {}
-        for cores in (1, 3):
-            monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
-            switch = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                runs[cores] = bem.eval_fields(spheroid2_sol, X)
-            finally:
-                sys.setswitchinterval(switch)
-        assert [lanes for lanes, _ in lane_grids] == [1, 3]
-        assert [len(starts) for _, starts in lane_grids] == [14, 40]
-        for one, three in zip(runs[1], runs[3]):
-            assert np.array_equal(one, three)
+        # three lanes of one point a chunk, one lane of three; then one
+        # point fills the budget, as from level 5 up, and still each core
+        # gets a lane of one point a chunk
+        for budget in (3 * n, n):
+            monkeypatch.setattr(bem, "_CHUNK", budget)
+            for cores in (1, 3):
+                monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
+                switch = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    runs[budget, cores] = bem.eval_fields(spheroid2_sol, X)
+                finally:
+                    sys.setswitchinterval(switch)
+        assert [lanes for lanes, _ in lane_grids] == [1, 3, 1, 3]
+        assert [len(starts) for _, starts in lane_grids] == [14, 40, 40, 40]
+        for run in runs.values():
+            for one, other in zip(runs[3 * n, 1], run):
+                assert np.array_equal(one, other)
 
     def test_fields_at_zero_points(self, level2_sol):
         u, Du, D2u = bem.eval_fields(level2_sol, np.empty((0, 3)))
@@ -839,7 +841,7 @@ class TestLanes:
             with pytest.raises(ValueError, match=re.escape(msg)):
                 bem.eval_fields(spheroid2_sol, X)
 
-    @pytest.mark.parametrize("cores", [8, 16])
+    @pytest.mark.parametrize("cores", [8, 16, 64])
     def test_assembly_peak_below_twice_the_matrix_on_many_cores(self, cores, monkeypatch):
         monkeypatch.setattr(bem, "_usable_cores", lambda: cores)
         mesh = geo.make_sphere_mesh(1.0, 3)
@@ -858,9 +860,12 @@ class TestLanes:
         monkeypatch.setattr(bem, "_usable_cores", lambda: cores)
         panels = 5120
         lanes, cols = bem._lane_grid(width, panels)
-        assert 1 <= lanes <= cores and lanes <= -(-panels // cols)
-        # all lanes' planes within the budget, unless one panel exceeds it
-        assert lanes * cols * width <= max(bem._CHUNK, width)
+        # one lane a core, but no more lanes than chunks
+        assert lanes == min(cores, -(-panels // cols))
+        # all lanes' planes within the budget, unless one panel a lane
+        # exceeds it, and one panel a chunk exactly where two a lane would
+        assert lanes * cols * width <= max(bem._CHUNK, lanes * width)
+        assert (cols == 1) == (2 * lanes * width > bem._CHUNK)
 
     def test_import_starts_no_thread(self):
         src = os.path.dirname(os.path.dirname(bem.__file__))

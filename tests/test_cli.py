@@ -51,6 +51,14 @@ class TestExitCodes:
         bad.write_text("OFX\n1 0 0\n0 0 0\n")
         assert run(["capacity", "--mesh", str(bad)]) == cli.EXIT_FILE
 
+    @pytest.mark.parametrize("counts", ["-1 0 0", "3 -1 0"])
+    def test_negative_count_is_4(self, tmp_path, capsys, counts):
+        neg = tmp_path / "neg.off"
+        neg.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n")
+        assert run(["verify", "--mesh", str(neg)]) == cli.EXIT_FILE
+        err = capsys.readouterr().err
+        assert "must not be negative" in err and "Traceback" not in err
+
     def test_shape_and_mesh_together_is_4(self, sphere_off):
         code = run(["capacity", "--mesh", sphere_off, "--shape", "sphere", "1", "1"])
         assert code == cli.EXIT_FILE

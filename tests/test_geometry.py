@@ -314,6 +314,14 @@ class TestOffIO:
         with pytest.raises(geo.OffParseError, match="truncated"):
             geo.load_off(path)
 
+    # a negative vertex count, then a negative face count, on the counts line
+    @pytest.mark.parametrize("counts", ["-1 0 0", "3 -1 0"])
+    def test_negative_count(self, tmp_path, counts):
+        path = tmp_path / "neg.off"
+        path.write_text(f"# counts on line 3\nOFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n")
+        with pytest.raises(geo.OffParseError, match="^line 3: .*must not be negative"):
+            geo.load_off(path)
+
 
 # geometry as it was before every product of coordinates moved to one exact
 # power-of-two scale and the discrete curvature to one pass over the corners
