@@ -723,15 +723,22 @@ def capacity_three_ways(sol: EquilibriumSolution, far_radius: float
     cap_asympt  = (n-2) omega_n * mean over a far sample sphere of u |x|^{n-2}
     cap_flux    = -int du/dnu dA over the same sphere, the mean of Du.nu times
                   its area, from the Du of the same evaluation
+
+    Both far-sphere values are formed at the mesh's unit scale
+    (`eval_fields_at_unit_scale`) and scaled back by 2^e, all exact, so the
+    squared radius and Du stay in range wherever the far points do.
     """
     if far_radius < 10.0 * sol.mesh.diameter:
         raise ValueError(
             f"far_radius {far_radius} below 10x mesh diameter {sol.mesh.diameter}"
         )
+    e = sol.mesh._exponent
     center = sol.mesh.center
     dirs, _ = _unit_icosphere(2)
     X = center + far_radius * dirs
-    u, Du, _ = eval_fields(sol, X)
-    cap_asympt = FOUR_PI * float(np.mean(u * np.linalg.norm(X - center, axis=1)))
-    cap_flux = -FOUR_PI * far_radius**2 * float(np.mean(np.einsum("pi,pi->p", Du, dirs)))
+    u, Du, _ = eval_fields_at_unit_scale(sol, X)
+    r = np.linalg.norm(np.ldexp(X - center, -e), axis=1)
+    cap_asympt = math.ldexp(FOUR_PI * float(np.mean(u * r)), e)
+    cap_flux = math.ldexp(-FOUR_PI * math.ldexp(far_radius, -e) ** 2
+                          * float(np.mean(np.einsum("pi,pi->p", Du, dirs))), e)
     return sol.capacity, cap_asympt, cap_flux

@@ -304,15 +304,20 @@ def ellipsoid_mean_curvature(points, a: float, b: float, c: float) -> np.ndarray
 
     From the level-set formula H = div(DF/|DF|) / 2 with F the implicit
     function; outward orientation, so H = 1/R on the sphere a = b = c = R.
+    H is formed on the points and axes times 2^-e, e the binary exponent of
+    the largest axis, and scaled back by 2^-e, all exact: bitwise H at the
+    caller's scale wherever that neither overflows nor underflows, and
+    H(2^k x; 2^k axes) = 2^-k H(x; axes) bitwise while both are normal.
     """
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    inv2 = np.array([1.0 / a**2, 1.0 / b**2, 1.0 / c**2])
+    e = math.frexp(max(a, b, c))[1]
+    p = np.ldexp(np.atleast_2d(np.asarray(points, dtype=float)), -e)
+    inv2 = np.array([1.0 / math.ldexp(x, -e) ** 2 for x in (a, b, c)])
     g = 2.0 * p * inv2  # DF
     gnorm = np.linalg.norm(g, axis=1)
     lap = 2.0 * inv2.sum()  # trace of D2F
     # g^T D2F g with D2F = 2 diag(inv2)
     gHg = 2.0 * (g**2 * inv2).sum(axis=1)
-    H = (lap - gHg / gnorm**2) / (2.0 * gnorm)
+    H = np.ldexp((lap - gHg / gnorm**2) / (2.0 * gnorm), -e)
     return H if np.asarray(points).ndim == 2 else float(H[0])
 
 

@@ -4,13 +4,13 @@ Everything here is analytic: radial potentials around balls, exact
 capacities of balls and triaxial ellipsoids, and the dimensional constant
 omega_n.  These values serve as ground truth for the mesh/BEM machinery,
 so all derivatives are hand-derived closed forms (never finite
-differences) and omega_n is built from exact half-integer Gamma products.
+differences), omega_n is built from exact half-integer Gamma products,
+and the ellipsoid capacity is Carlson's R_F at a power-of-two scale.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -112,26 +112,23 @@ def ellipsoid_capacity(a: float, b: float, c: float) -> float:
     """Capacity in R^3 of the solid ellipsoid with semi-axes a, b, c.
 
     Classical closed form 8 pi / I with
-        I = int_0^inf ds / sqrt((a^2+s)(b^2+s)(c^2+s)),
-    evaluated by adaptive quadrature after the substitution s = t/(1-t)
-    which maps the infinite tail onto [0, 1).  Reduces to 4 pi R for
-    a = b = c = R.
+        I = int_0^inf ds / sqrt((a^2+s)(b^2+s)(c^2+s)) = 2 R_F(a^2, b^2, c^2),
+    Carlson's symmetric elliptic integral (Carlson 1995), taken on the axes
+    times 2^-e (e the binary exponent of the largest) and scaled back by
+    2^e, all exact: Cap(2^k axes) = 2^k Cap(axes) bitwise.  Reduces to
+    4 pi R for a = b = c = R.  Raises ArithmeticError when the capacity is
+    beyond the float range or two axes are below about 1e-154 of the
+    largest (their squares vanish and R_F is infinite).
     """
     if min(a, b, c) <= 0:
         raise ValueError(f"semi-axes must be positive, got ({a}, {b}, {c})")
     # imported here, so that the commands that never call this load no scipy
-    from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import elliprf
 
-    def integrand(t: float) -> float:
-        s = t / (1.0 - t)
-        jac = 1.0 / (1.0 - t) ** 2
-        return jac / math.sqrt((a * a + s) * (b * b + s) * (c * c + s))
-
-    with warnings.catch_warnings():
-        # at epsrel = 1e-12 quad can report hitting the roundoff limit
-        # even though the achieved error estimate is well inside our check
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-8 * max(val, 1.0):
-        raise ArithmeticError(f"ellipsoid integral did not converge: residual estimate {err}")
-    return 8.0 * math.pi / val
+    e = math.frexp(max(a, b, c))[1]
+    rf = float(elliprf(*(math.ldexp(x, -e) ** 2 for x in (a, b, c))))
+    # 4 pi / R_F = m 2^k with 1/2 <= m < 1: the capacity m 2^(k+e) is finite iff k + e <= 1024
+    if not (0.0 < rf < math.inf and math.frexp(4.0 * math.pi / rf)[1] + e <= 1024):
+        raise ArithmeticError(
+            f"semi-axes ({a}, {b}, {c}) or their capacity are beyond the float range")
+    return math.ldexp(4.0 * math.pi / rf, e)

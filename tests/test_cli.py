@@ -292,6 +292,16 @@ class TestOracle:
         assert data["capacity"] == pytest.approx(
             oracles.ellipsoid_capacity(2.0, 1.0, 1.0), rel=1e-12)
 
+    def test_ellipsoid_capacity_far_from_unit_size(self, capsys):
+        assert run(["oracle", "--shape", "ellipsoid", "2", "1", "1"]) == 0
+        unit = json.loads(capsys.readouterr().out)["capacity"]
+        assert run(["oracle", "--shape", "ellipsoid", "2000", "1000", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["capacity"] == \
+            pytest.approx(1000 * unit, rel=1e-15)
+        assert run(["oracle", "--shape", "ellipsoid", "1e-20", "1e-20", "1e-20"]) == 0
+        assert json.loads(capsys.readouterr().out)["capacity"] == \
+            pytest.approx(4 * math.pi * 1e-20, rel=1e-15, abs=0)
+
     def test_17g_round_trip(self, capsys):
         assert run(["oracle", "--shape", "sphere", "1.3"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -424,14 +434,15 @@ class TestMalformedInput:
 
 class TestExtremeRadius:
     """Radii far from 1 in a problem that is scale-invariant: each area and
-    the capacity are representable, so `capacity` succeeds, up to 1e+-140
-    (the mesh's geometry is formed at one exact power-of-two scale).  With
-    discrete curvature, `verify` at 1e78 gives the sphere's verdict, and
-    so does `verify` with exact curvature up to 1e+-140: its scan forms the
-    fields at the mesh's unit scale, where neither D2u overflows nor
-    Tr(D2v)^2 underflows.  None prints a warning."""
+    the capacity are representable, so `capacity` succeeds from 1e-140 up to
+    1e153 (the mesh's geometry and the far sphere are formed at one exact
+    power-of-two scale).  With discrete curvature, `verify` at 1e78 gives
+    the sphere's verdict, and so does `verify` with exact curvature up to
+    1e+-140: its scan forms the fields at the mesh's unit scale, where
+    neither D2u overflows nor Tr(D2v)^2 underflows.  The ellipsoid's exact
+    curvature is formed at the axes' unit scale.  None prints a warning."""
 
-    @pytest.mark.parametrize("R", [1e100, 1e-100, 1e140, 1e-140])
+    @pytest.mark.parametrize("R", [1e100, 1e-100, 1e140, 1e-140, 1e152, 1e153])
     def test_capacity_scales_with_the_radius(self, tmp_path, capsys, R):
         out, unit = tmp_path / "cap.json", tmp_path / "unit.json"
         with warnings.catch_warnings():
@@ -441,7 +452,7 @@ class TestExtremeRadius:
         assert run(["capacity", "--shape", "sphere", "1", "2", "--output", str(unit)]) == 0
         scaled, base = json.loads(out.read_text()), json.loads(unit.read_text())
         for key in ("cap_charge", "cap_asymptotic", "cap_flux"):
-            assert scaled[key] == pytest.approx(R * base[key], rel=1e-12)
+            assert scaled[key] == pytest.approx(R * base[key], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("R", ["1e80", "1e100", "1e-100", "1e140", "1e-140"])
     def test_verify_gives_the_sphere_verdict(self, tmp_path, capsys, R):
@@ -454,6 +465,21 @@ class TestExtremeRadius:
         rep = json.loads(out.read_text())
         assert rep["verdict"] is True and rep["reasons"] == []
         assert rep["newton_sup_deficit"] < 1e-6 and rep["pbv_max_residual"] < 1e-12
+
+    @pytest.mark.parametrize("R", [1e100, 1e-100])
+    def test_verify_ellipsoid_f1_scales_with_the_radius(self, tmp_path, capsys, R):
+        # the exact curvature is formed at the axes' unit scale; abs=0, since
+        # approx's default absolute 1e-12 would pass any f1 near 1e-100
+        out, unit = tmp_path / "v.json", tmp_path / "unit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--shape", "ellipsoid", repr(2 * R), repr(R), repr(R), "2",
+                        "--samples", "4", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(["verify", "--shape", "ellipsoid", "2", "1", "1", "2", "--samples", "4",
+                    "--output", str(unit)]) == 0
+        scaled, base = json.loads(out.read_text()), json.loads(unit.read_text())
+        assert scaled["f1"] == pytest.approx(base["f1"] / R, rel=1e-12, abs=0)
 
     def test_verify_names_the_non_finite_key(self, tmp_path, capsys, monkeypatch):
         # a NaN deficit, as an overflow in the fields would give
@@ -696,13 +722,13 @@ class TestScipyFreeCommands:
         assert done.stdout
 
     def test_ellipsoid_oracle_needs_scipy(self):
-        # the blocker works: the ellipsoid capacity integral needs scipy
+        # the blocker works: the ellipsoid capacity's R_F needs scipy
         assert "scipy" in _capsym(["oracle", "--shape", "ellipsoid", "2", "1", "1"],
                                   block_scipy=True).stderr
         done = _capsym(["oracle", "--shape", "ellipsoid", "2", "1", "1"], block_scipy=False)
         assert done.returncode == 0, done.stderr
         # the value printed when scipy was imported with the package
-        assert json.loads(done.stdout)["capacity"] == 16.527174043780974
+        assert json.loads(done.stdout)["capacity"] == 16.527174043782797
 
 
 def _without_blas_setting(args, **env):

@@ -479,3 +479,14 @@ class TestExactScale:
             assert np.array_equal(m.center, np.ldexp(base.center, k))
             assert np.array_equal(geo.mixed_voronoi_areas(m),
                                   np.ldexp(geo.mixed_voronoi_areas(base), 2 * k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(min_value=-1000, max_value=1000))
+    def test_exact_ellipsoid_curvature_scales_exactly(self, k):
+        axes = (3.0, 2.0, 1.0)
+        pts = geo.make_ellipsoid_mesh(*axes, 1).vertices
+        H = geo.ellipsoid_mean_curvature(pts, *axes)
+        with np.errstate(all="raise"):
+            scaled = geo.ellipsoid_mean_curvature(
+                np.ldexp(pts, k), *(math.ldexp(x, k) for x in axes))
+        assert np.array_equal(scaled, np.ldexp(H, -k))

@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.special import elliprf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ellipkinc
 
 from capsym import oracles
 
@@ -86,8 +89,8 @@ def test_radial_v_fields_solve_auxiliary_pde():
 
 
 def test_ellipsoid_capacity_sphere_reduction():
-    assert oracles.ellipsoid_capacity(1, 1, 1) == pytest.approx(4 * math.pi, rel=1e-10)
-    assert oracles.ellipsoid_capacity(2, 2, 2) == pytest.approx(8 * math.pi, rel=1e-10)
+    assert oracles.ellipsoid_capacity(1, 1, 1) == pytest.approx(4 * math.pi, rel=1e-15)
+    assert oracles.ellipsoid_capacity(2, 2, 2) == pytest.approx(8 * math.pi, rel=1e-15)
 
 
 def _simpson(f, m):
@@ -115,11 +118,56 @@ def test_ellipsoid_capacity_against_independent_quadratures():
     simpson = _simpson_ellipsoid_capacity(2.0, 1.0, 1.0)
     assert simpson == pytest.approx(16.527174043, abs=1e-6)
     assert oracles.ellipsoid_capacity(2.0, 1.0, 1.0) == pytest.approx(simpson, rel=1e-7)
-    # Carlson symmetric elliptic integral as a second, independent route
-    for axes in [(2.0, 1.0, 1.0), (3.0, 2.0, 1.0), (1.0, 1.0, 5.0)]:
-        a, b, c = axes
-        ref = 4 * math.pi / float(elliprf(a * a, b * b, c * c))
-        assert oracles.ellipsoid_capacity(a, b, c) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("a, c", [(2.0, 1.0), (3.0, 1.0), (5.0, 2.0), (1.1, 1.0), (100.0, 1.0)])
+def test_ellipsoid_capacity_against_the_spheroid_forms(a, c):
+    focal = math.sqrt(a * a - c * c)
+    prolate = 4 * math.pi * focal / math.acosh(a / c)
+    oblate = 4 * math.pi * focal / math.acos(c / a)
+    assert oracles.ellipsoid_capacity(a, c, c) == pytest.approx(prolate, rel=2e-15)
+    assert oracles.ellipsoid_capacity(a, a, c) == pytest.approx(oblate, rel=2e-15)
+
+
+@pytest.mark.parametrize("a, b, c", [(3.0, 2.0, 1.0), (5.0, 4.0, 0.5), (1.2, 1.1, 1.0)])
+def test_ellipsoid_capacity_against_legendres_form(a, b, c):
+    # I = 2 F(phi, m) / sqrt(a^2 - c^2), cos(phi) = c/a, m = (a^2 - b^2)/(a^2 - c^2)
+    focal = math.sqrt(a * a - c * c)
+    F = float(ellipkinc(math.acos(c / a), (a * a - b * b) / (a * a - c * c)))
+    assert oracles.ellipsoid_capacity(a, b, c) == pytest.approx(4 * math.pi * focal / F,
+                                                                rel=2e-15)
+
+
+_AXES = st.tuples(*[st.floats(0.1, 10.0)] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(axes=_AXES, k=st.integers(-900, 900))
+def test_ellipsoid_capacity_scales_exactly_by_powers_of_two(axes, k):
+    scaled = oracles.ellipsoid_capacity(*(math.ldexp(x, k) for x in axes))
+    assert scaled == math.ldexp(oracles.ellipsoid_capacity(*axes), k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(axes=_AXES)
+def test_ellipsoid_capacity_is_symmetric_in_the_axes(axes):
+    cap = oracles.ellipsoid_capacity(*axes)
+    for perm in itertools.permutations(axes):
+        assert oracles.ellipsoid_capacity(*perm) == pytest.approx(cap, rel=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(axes=_AXES, t=st.sampled_from([1e-150, 1e-20, 1e-6, 1e3, 1e150]))
+def test_ellipsoid_capacity_is_homogeneous(axes, t):
+    assert oracles.ellipsoid_capacity(*(t * x for x in axes)) == \
+        pytest.approx(t * oracles.ellipsoid_capacity(*axes), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("axes", [(1e300, 1.0, 1.0), (1e308, 1e308, 1e308)])
+def test_ellipsoid_capacity_beyond_the_float_range(axes):
+    with pytest.raises(ArithmeticError, match="float range") as exc:
+        oracles.ellipsoid_capacity(*axes)
+    assert type(exc.value) is ArithmeticError
 
 
 def test_ellipsoid_capacity_rejects_bad_axes():
