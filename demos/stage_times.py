@@ -9,10 +9,13 @@
 # the call: its validation and the condition estimate), one
 # `bem.eval_fields` call on the sample points
 # `verify` would scan and one scan of those points as `verify` makes it
-# (`bem.eval_fields_at_unit_scale`, the same evaluation at the mesh's unit
+# (`bem.eval_fields_at_unit_scale`, the same fields left at the mesh's unit
 # scale, then `functionals._scan`: the v-transform, Newton deficit and pbv
 # residual, so the difference of the two rows is the scan's own cost), with
-# `time.perf_counter`.  It also prints the
+# `time.perf_counter`.  The far-field stage includes building the mesh's
+# unit-scale copy and its panel rule (`bem._unit_discretisation`), which the
+# near field, the diagonal and both evaluations then read without
+# rebuilding either.  It also prints the
 # number of lanes the assembly's far field, the matrix-vector products and
 # the `eval_fields` call ran on (one per usable core, but no more than
 # chunks, and for the products only from a matrix size up; read from the

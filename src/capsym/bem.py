@@ -9,20 +9,29 @@ interior potential is constant, the layer jump makes sigma = |Du| on the
 boundary.  Off-surface potentials, gradients and Hessians come from
 differentiating the kernel under the integral.
 
+Every number is formed on one unit-scale discretisation per mesh and
+quadrature order (`_unit_discretisation`): the mesh times 2^-e, e =
+`TriMesh._exponent`, and the plain panel rule on that copy, built once
+and read by the assembly and by every evaluation on the solution.  Each
+matrix entry and field is scaled back to the mesh's own scale by
+`np.ldexp`, all exact, so it is bitwise the one formed at that scale
+wherever that neither overflows nor underflows, and finite at any radius
+where the result is representable.
+
 `assemble_single_layer` builds the whole square matrix: diagonal
 entries by the exact integral of 1/r over a planar triangle from its
 centroid, near-diagonal entries by one level of 4:1 panel subdivision,
 every other entry by the plain panel rule, whose squared distances come
-from one k = 5 matrix product per block, |c|^2 + |y|^2 - 2 c.y at the
-mesh's centred unit scale (`_far_entries`).  The near pairs are found on
+from one k = 5 matrix product per block, |c|^2 + |y|^2 - 2 c.y about
+the unit copy's centre (`_far_entries`).  The near pairs are found on
 a uniform grid of cubes whose side is twice the longest edge
 (`_near_pairs`): a pair can only join centroids in neighbouring cubes,
 and sorting the centroids by cube makes each column of three cubes one
 contiguous run.  Only numpy is imported; scipy is not needed to solve or
-evaluate.  One batched `eval_fields` gives u, Du and D2u off the
-surface; every other evaluation goes through it, the symmetry scan's at
-the mesh's unit scale (`eval_fields_at_unit_scale`).
-The far field's column chunks, `eval_fields`' point chunks and, on
+evaluate.  One batched `eval_fields_at_unit_scale` gives u, Du and D2u
+off the surface at the unit scale; `eval_fields` is the same fields
+scaled back, and every other evaluation goes through it.
+The far field's column chunks, the field evaluator's point chunks and, on
 matrices large enough to pay for it, the row blocks of GMRES's
 matrix-vector products run on one lane per usable core (`_each_chunk`);
 no matrix entry and no product depends on the number of lanes, and no
@@ -38,7 +47,8 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,9 +69,9 @@ def __getattr__(name):
 # element budget of one kernel temporary.  The kernel loops cut their work
 # into chunks whose planes hold at most _CHUNK doubles (1 MB): one
 # (panels*Q, F) plane of squared distances per lane in the far field and
-# seven (points, F*Q) planes per lane in eval_fields, in both cases shared
-# among the lanes, so that all lanes' planes together stay within the
-# budget of one unless one item a lane exceeds it (`_lane_grid`).
+# seven (points, F*Q) planes per lane in the field evaluator, in both
+# cases shared among the lanes, so that all lanes' planes together stay
+# within the budget of one unless one item a lane exceeds it (`_lane_grid`).
 # Every numpy pass over them then runs in cache, where a (rows, F*Q, 3)
 # difference block would stream through DRAM once per pass.  The
 # near-field pairs and the winding-number test are chunked by the same
@@ -231,6 +241,17 @@ def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
     return np.concatenate(all_pts, axis=1), np.concatenate(all_wts, axis=1)
 
 
+# the last mesh asked for, keyed to the object (TriMesh compares by
+# identity), so a solve and every evaluation on its solution share it
+@lru_cache(maxsize=1)
+def _unit_discretisation(mesh: TriMesh, order: int) -> tuple[TriMesh, np.ndarray, np.ndarray]:
+    """The mesh times 2^-e, e = `TriMesh._exponent`: an exact copy whose
+    every coordinate lies below 1 in magnitude, with the plain panel rule on
+    it, points (F, Q, 3) and weights (F, Q)."""
+    unit = TriMesh(np.ldexp(mesh.vertices, -mesh._exponent), mesh.triangles)
+    return (unit, *panel_quadrature(unit, order))
+
+
 def _lane_grid(width: int, count: int) -> tuple[int, int]:
     """Lanes and items per chunk of `count` items that each take `width`
     elements of a plane: a far-field panel (every row times its quadrature
@@ -258,10 +279,9 @@ def _far_entries(out, mesh: TriMesh, order: int) -> None:
     from one k = 5 matrix product into the lane's one (points, F) plane,
     |c - y|^2 = [-2y, 1, |y|^2] . [c, |c|^2, 1], which is then turned into
     w/|c - y| in place and summed over each panel's points.  c and y are
-    taken relative to the mesh's centre and times 2^-e (e =
-    `TriMesh._exponent`, exact), so every term is O(1) at any radius, and
-    the weights times 2^-e, so the entries come out at the mesh's own
-    scale.
+    the centroids and rule points of `_unit_discretisation`, taken relative
+    to the unit copy's centre, so every term is O(1) at any radius, and the
+    weights times 2^e, so the entries come out at the mesh's own scale.
 
     The product's rounding is about eps (r0/|c - y|)^2 relative, r0 the
     mesh's radius about its centre: the cancellation that the difference
@@ -285,17 +305,16 @@ def _far_entries(out, mesh: TriMesh, order: int) -> None:
     threads allocate and free stay in glibc's per-thread arenas and raise
     the peak RSS.
     """
-    pts, wts = panel_quadrature(mesh, order)
+    unit, pts, wts = _unit_discretisation(mesh, order)
     F, Q = wts.shape
-    e, center = mesh._exponent, mesh.center
-    c = np.ldexp(mesh.centroids - center, -e)
-    y = np.ldexp(pts.reshape(-1, 3) - center, -e)
+    c = unit.centroids - unit.center
+    y = pts.reshape(-1, 3) - unit.center
     # columns (c, |c|^2, 1) of the centroids and rows (-2y, 1, |y|^2) of
     # the points
     C = np.empty((5, F))
     C[:3], C[3], C[4] = c.T, _dot(c, c), 1.0
     Y = np.column_stack([-2.0 * y, np.ones(F * Q), _dot(y, y)])
-    W = np.ldexp(wts, -e).reshape(-1, 1)
+    W = np.ldexp(wts, mesh._exponent).reshape(-1, 1)
     lanes, cols = _lane_grid(F * Q, F)
     if Q == 1:
         cols = max(2, cols - cols % 2)
@@ -376,14 +395,17 @@ def _near_entries(out, mesh: TriMesh, order: int) -> None:
     The candidates are the pairs of centroids within twice the mesh's
     longest edge, found by `_near_pairs` on a grid of cubes of that side;
     of these, a pair (i, j) is near when its separation is below twice the
-    longest edge of its own panel T_j.
+    longest edge of its own panel T_j.  The search, the test and the
+    subdivided rule run on the unit copy of `_unit_discretisation`, and
+    each entry is scaled back by 2^e.
     """
-    cen = mesh.centroids
-    max_edge = mesh.edge_lengths.max(axis=1)
+    unit = _unit_discretisation(mesh, order)[0]
+    cen = unit.centroids
+    max_edge = unit.edge_lengths.max(axis=1)
     i, j = _near_pairs(cen, 2.0 * float(max_edge.max()))
     keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
     i, j = i[keep], j[keep]
-    spts, swts = panel_quadrature(mesh, order, subdivide=True)
+    spts, swts = panel_quadrature(unit, order, subdivide=True)
     # coordinate planes (F, 4Q) of the subdivided rule's points
     planes = np.moveaxis(spts, -1, 0).copy()
     chunk = _chunk_len(spts[0].size)
@@ -396,13 +418,15 @@ def _near_entries(out, mesh: TriMesh, order: int) -> None:
         d += np.square(c[:, 2:3] - planes[2][jc])
         d += np.square(c[:, 1:2] - planes[1][jc])
         np.sqrt(d, out=d)
-        out[ic, jc] = (swts[jc] / d).sum(axis=1) / FOUR_PI
+        out[ic, jc] = np.ldexp((swts[jc] / d).sum(axis=1) / FOUR_PI, mesh._exponent)
 
 
-def _self_entries(out, mesh: TriMesh) -> None:
-    """Overwrite the diagonal of `out` by the exact self-integral."""
-    p = mesh.vertices[mesh.triangles]
-    np.fill_diagonal(out, self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2]) / FOUR_PI)
+def _self_entries(out, mesh: TriMesh, order: int) -> None:
+    """Overwrite the diagonal of `out` by the exact self-integral, formed on
+    the unit copy of `_unit_discretisation` and scaled back by 2^e."""
+    # the first, second and third corners (3, F, 3) of the unit copy's panels
+    p = _unit_discretisation(mesh, order)[0].vertices[mesh.triangles.T]
+    np.fill_diagonal(out, np.ldexp(self_integral_inv_r(*p), mesh._exponent) / FOUR_PI)
 
 
 def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
@@ -420,7 +444,7 @@ def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
     out = np.empty((F, F), order="F")
     _far_entries(out, mesh, quad_order)
     _near_entries(out, mesh, quad_order)
-    _self_entries(out, mesh)
+    _self_entries(out, mesh, quad_order)
     return out
 
 
@@ -607,12 +631,17 @@ def _within_bounding_sphere(mesh: TriMesh, X) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is the caller's to report
-def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u (P,), Du (P, 3) and D2u (P, 3, 3) at the exterior points X (P, 3).
+def eval_fields_at_unit_scale(sol: EquilibriumSolution, X
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u (P,), Du (P, 3) and D2u (P, 3, 3) at the exterior points X (P, 3),
+    formed on the unit copy of `_unit_discretisation` at X times 2^-e with
+    sigma times 2^e: u is the unscaled one, Du and D2u are 2^e and 2^2e
+    times the unscaled ones, all exact, and every scale-free ratio is the
+    unscaled one at any radius.  An error names a point as X gives it.
 
     u(x) = int sigma(y) / (4 pi |x - y|) dA(y); Du and D2u by the kernel
     gradient -r/(4 pi |r|^3) and Hessian (3 rr^T - |r|^2 I)/(4 pi |r|^5),
-    r = x - y.  The quadrature is formed once.
+    r = x - y.
 
     First the points within the mesh's bounding sphere get the
     winding-number test, in chunks taken in X's order, and the first point
@@ -628,18 +657,19 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
         raise ValueError(f"evaluation points must have shape (P, 3), got {X.shape}")
-    tested = X[_within_bounding_sphere(sol.mesh, X)]
+    unit, pts, wts = _unit_discretisation(sol.mesh, sol.quad_order)
+    Xu = np.ldexp(X, -sol.mesh._exponent)
+    within = np.flatnonzero(_within_bounding_sphere(unit, Xu))
     # chunks whose (points, F, 3, 3) corner differences hold _CHUNK doubles
-    step = _chunk_len(9 * sol.mesh.num_panels)
-    for start in range(0, len(tested), step):
-        x = tested[start:start + step]
-        inside = winding_number(sol.mesh, x) > 0.5
+    step = _chunk_len(9 * unit.num_panels)
+    for start in range(0, len(within), step):
+        at = within[start:start + step]
+        inside = winding_number(unit, Xu[at]) > 0.5
         if inside.any():
-            raise ValueError(f"evaluation point {x[np.argmax(inside)].tolist()} "
+            raise ValueError(f"evaluation point {X[at[np.argmax(inside)]].tolist()} "
                              "lies inside the surface")
-    pts, wts = panel_quadrature(sol.mesh, sol.quad_order)
     Y = np.ascontiguousarray(pts.reshape(-1, 3).T)
-    sw = (wts * sol.sigma[:, None]).reshape(-1)
+    sw = (wts * np.ldexp(sol.sigma, sol.mesh._exponent)[:, None]).reshape(-1)
     P, n = len(X), len(sw)
     u, Du, D2u = np.empty(P), np.empty((P, 3)), np.empty((P, 3, 3))
     lanes, chunk = _lane_grid(n, P)
@@ -649,7 +679,7 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     planes = np.empty((lanes, 7, min(chunk, P), n))
 
     def fields(lane, start):
-        x = X[start:start + chunk]
+        x = Xu[start:start + chunk]
         m = len(x)
         diff, (inv_r, w3, w5, t) = planes[lane, :3, :m], planes[lane, 3:, :m]
         for k in range(3):
@@ -681,16 +711,14 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     return u / FOUR_PI, Du / FOUR_PI, D2u / FOUR_PI
 
 
-def eval_fields_at_unit_scale(sol: EquilibriumSolution, X
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`eval_fields` with the mesh and X times 2^-e and sigma times 2^e,
-    e = `TriMesh._exponent`, all exact: u keeps its bits, Du and D2u are
-    2^e and 2^2e times the unscaled ones where those are representable, and
-    every scale-free ratio is the unscaled one at any radius."""
-    e = sol.mesh._exponent
-    unit = replace(sol, mesh=TriMesh(np.ldexp(sol.mesh.vertices, -e), sol.mesh.triangles),
-                   sigma=np.ldexp(sol.sigma, e))
-    return eval_fields(unit, np.ldexp(np.atleast_2d(X), -e))
+@np.errstate(over="ignore")  # a non-finite value is the caller's to report
+def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u (P,), Du (P, 3) and D2u (P, 3, 3) at the exterior points X (P, 3):
+    `eval_fields_at_unit_scale` with Du and D2u scaled back by 2^-e and
+    2^-2e, bitwise the fields at the mesh's own scale wherever those are
+    representable."""
+    u, Du, D2u = eval_fields_at_unit_scale(sol, X)
+    return u, np.ldexp(Du, -sol.mesh._exponent), np.ldexp(D2u, -2 * sol.mesh._exponent)
 
 
 def _point(x) -> np.ndarray:

@@ -119,14 +119,16 @@ class TriMesh:
     @cached_property
     def bounding_radius(self) -> float:
         """Largest distance from `center` to a vertex: the whole surface,
-        and every point it encloses, lies within this sphere."""
-        return float(np.max(np.linalg.norm(self.vertices - self.center, axis=1)))
+        and every point it encloses, lies within this sphere.  Formed at unit
+        scale, as `diameter` is, so neither overflows where it is finite."""
+        d = np.linalg.norm(np.ldexp(self.vertices - self.center, -self._exponent), axis=1)
+        return math.ldexp(float(d.max()), self._exponent)
 
     @cached_property
     def diameter(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        """Length of the diagonal of the vertices' bounding box."""
+        span = np.ldexp(np.ptp(self.vertices, axis=0), -self._exponent)
+        return math.ldexp(float(np.linalg.norm(span)), self._exponent)
 
     def transformed(self, rotation=None, translation=None) -> "TriMesh":
         """Rigidly moved copy; exact curvature carries over unchanged."""

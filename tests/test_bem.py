@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.spatial import cKDTree
@@ -908,7 +910,9 @@ class TestInsideGate:
         assert np.linalg.norm(x - mesh.center) <= mesh.bounding_radius
         X = np.vstack([fn.sample_exterior_points(mesh, 5, 1), x])
         u, Du, D2u = bem.eval_fields(spheroid2_sol, X)
-        assert len(winding_calls) == 1 and np.array_equal(winding_calls[0], x[None])
+        # the test runs on the unit copy of the mesh, at x times 2^-e
+        assert len(winding_calls) == 1
+        assert np.array_equal(winding_calls[0], np.ldexp(x, -mesh._exponent)[None])
         u0, Du0, D2u0 = _frozen_fields(spheroid2_sol, x)
         assert abs(u[-1] - u0) <= 1e-13 * abs(u0)
         assert np.abs(Du[-1] - Du0).max() <= 1e-13 * np.abs(Du0).max()
@@ -919,6 +923,15 @@ class TestInsideGate:
         msg = "evaluation point [0.1, 0.0, 0.0] lies inside the surface"
         with pytest.raises(ValueError, match=re.escape(msg)):
             bem.eval_fields(spheroid2_sol, X)
+
+    @pytest.mark.parametrize("evaluate", [bem.eval_fields, bem.eval_fields_at_unit_scale,
+                                          fn.newton_scan, fn.pbv_scan])
+    def test_interior_point_named_as_given(self, sphere2_sol, evaluate):
+        # the fields are formed at the unit scale, here half the caller's
+        assert sphere2_sol.mesh._exponent == 1
+        msg = "evaluation point [0.5, 0.25, 0.0] lies inside the surface"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            evaluate(sphere2_sol, [[0.5, 0.25, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -1017,3 +1030,65 @@ class TestKrylovSolve:
         monkeypatch.setattr(bem, "assemble_single_layer", with_nan)
         with pytest.raises(bem.SolverError, match="non-finite Krylov vector"):
             bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6)
+
+
+# ---------------------------------------------------------------------------
+# one unit-scale discretisation per mesh
+
+
+class TestUnitDiscretisation:
+    """The assembly and every evaluation read one copy of the mesh times
+    2^-e and one plain panel rule on it, so the matrix and sigma are
+    bitwise covariant under a power-of-two scale wherever they are normal,
+    and no evaluation builds a mesh or a rule."""
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        meshes = {"spheroid-L1": geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 1),
+                  "sphere-L2": geo.make_sphere_mesh(1.0, 2)}
+        return {name: (mesh, bem.assemble_single_layer(mesh, 6),
+                       bem.solve_equilibrium(mesh, 6).sigma)
+                for name, mesh in meshes.items()}
+
+    # 2^-500 underflows the squares at the caller's scale, 2^512 overflows them
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-500, 512))
+    @example(k=-500)
+    @example(k=512)
+    @pytest.mark.parametrize("name", ["spheroid-L1", "sphere-L2"])
+    def test_matrix_and_sigma_are_bitwise_scale_covariant(self, references, name, k):
+        mesh, M, sigma = references[name]
+        scaled = mesh.scaled(2.0**k)
+        with np.errstate(all="raise"):
+            M_k = bem.assemble_single_layer(scaled, 6)
+            sigma_k = bem.solve_equilibrium(scaled, 6).sigma
+        assert np.array_equal(M_k, np.ldexp(M, k))
+        assert np.array_equal(sigma_k, np.ldexp(sigma, -k))
+
+    def test_one_rule_per_mesh(self, tmp_path, monkeypatch):
+        rules, meshes = [], []
+        rule, post_init = bem.panel_quadrature, geo.TriMesh.__post_init__
+
+        def counting_rule(mesh, order, subdivide=False):
+            rules.append(subdivide)
+            return rule(mesh, order, subdivide)
+
+        def counting_post_init(mesh):
+            meshes.append(mesh)
+            post_init(mesh)
+
+        monkeypatch.setattr(bem, "panel_quadrature", counting_rule)
+        monkeypatch.setattr(geo.TriMesh, "__post_init__", counting_post_init)
+        out = str(tmp_path / "out.json")
+        for command in ("verify", "capacity"):
+            rules.clear()
+            assert cli.main([command, "--shape", "sphere", "1.3", "2", "--output", out]) == 0
+            # the plain rule, then the near field's subdivided one
+            assert rules == [False, True]
+        sol = bem.solve_equilibrium(geo.make_sphere_mesh(1.3, 2), 6)
+        X = fn.sample_exterior_points(sol.mesh, 8, 1)
+        rules.clear()
+        meshes.clear()
+        bem.eval_fields_at_unit_scale(sol, X)
+        bem.eval_fields(sol, X)
+        assert rules == [] and meshes == []

@@ -435,14 +435,16 @@ class TestMalformedInput:
 class TestExtremeRadius:
     """Radii far from 1 in a problem that is scale-invariant: each area and
     the capacity are representable, so `capacity` succeeds from 1e-140 up to
-    1e153 (the mesh's geometry and the far sphere are formed at one exact
-    power-of-two scale).  With discrete curvature, `verify` at 1e78 gives
-    the sphere's verdict, and so does `verify` with exact curvature up to
-    1e+-140: its scan forms the fields at the mesh's unit scale, where
-    neither D2u overflows nor Tr(D2v)^2 underflows.  The ellipsoid's exact
-    curvature is formed at the axes' unit scale.  None prints a warning."""
+    5e154 (the mesh's geometry, the matrix and the far sphere are formed at
+    one exact power-of-two scale).  With discrete curvature, `verify` at
+    1e78 gives the sphere's verdict, and so does `verify` with exact
+    curvature from 1e-140 up to 5e154: its scan forms the fields at the
+    mesh's unit scale, where neither D2u overflows nor Tr(D2v)^2
+    underflows.  The ellipsoid's exact curvature is formed at the axes'
+    unit scale.  None prints a warning."""
 
-    @pytest.mark.parametrize("R", [1e100, 1e-100, 1e140, 1e-140, 1e152, 1e153])
+    @pytest.mark.parametrize("R", [1e100, 1e-100, 1e140, 1e-140, 1e152, 1e153,
+                                   1e154, 3e154, 5e154])
     def test_capacity_scales_with_the_radius(self, tmp_path, capsys, R):
         out, unit = tmp_path / "cap.json", tmp_path / "unit.json"
         with warnings.catch_warnings():
@@ -454,7 +456,8 @@ class TestExtremeRadius:
         for key in ("cap_charge", "cap_asymptotic", "cap_flux"):
             assert scaled[key] == pytest.approx(R * base[key], rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("R", ["1e80", "1e100", "1e-100", "1e140", "1e-140"])
+    @pytest.mark.parametrize("R", ["1e80", "1e100", "1e-100", "1e140", "1e-140",
+                                   "1e154", "5e154"])
     def test_verify_gives_the_sphere_verdict(self, tmp_path, capsys, R):
         out = tmp_path / "v.json"
         with warnings.catch_warnings():
