@@ -11,8 +11,9 @@ differentiating the kernel under the integral.
 
 Every number is formed on one unit-scale discretisation per mesh and
 quadrature order (`_unit_discretisation`): the mesh times 2^-e, e =
-`TriMesh._exponent`, and the plain panel rule on that copy, built once
-and read by the assembly and by every evaluation on the solution.  Each
+`TriMesh._exponent`, and the plain panel rule on that copy, built once,
+kept while the mesh lives, and read by the assembly and by every
+evaluation on the solution.  Each
 matrix entry and field is scaled back to the mesh's own scale by
 `np.ldexp`, all exact, so it is bitwise the one formed at that scale
 wherever that neither overflows nor underflows, and finite at any radius
@@ -20,8 +21,10 @@ where the result is representable.
 
 `assemble_single_layer` builds the whole square matrix: diagonal
 entries by the exact integral of 1/r over a planar triangle from its
-centroid, near-diagonal entries by one level of 4:1 panel subdivision,
-every other entry by the plain panel rule, whose squared distances come
+centroid, near-diagonal entries by the panel rule on the four
+sub-triangles of each panel's edge-midpoint split (`geometry._split4`,
+which also builds the icosphere), every other entry by the plain panel
+rule, whose squared distances come
 from one k = 5 matrix product per block, |c|^2 + |y|^2 - 2 c.y about
 the unit copy's centre (`_far_entries`).  The near pairs are found on
 a uniform grid of cubes whose side is twice the longest edge
@@ -46,13 +49,13 @@ import contextvars
 import math
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .geometry import MeshError, TriMesh, _unit_icosphere, require_valid
+from .geometry import MeshError, TriMesh, _split4, _unit_icosphere, require_valid
 
 FOUR_PI = 4.0 * math.pi
 
@@ -221,35 +224,35 @@ def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Physical quadrature points (F, Q, 3) and weights (F, Q) including areas.
 
-    With subdivide=True the rule is applied on each of the four 4:1
-    subtriangles (Q becomes 4x larger).
+    With subdivide=True the rule is applied on each of the four sub-triangles
+    of `_split4`, in its order, each weighted by a quarter of its parent's
+    area (Q becomes 4x larger).
     """
     bary, w = triangle_rule(order)
-    p = mesh.vertices[mesh.triangles]  # (F, 3, 3)
-    if not subdivide:
-        pts = np.einsum("qk,fkd->fqd", bary, p)
-        wts = np.outer(mesh.areas, w)
-        return pts, wts
-    v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
-    m01, m12, m20 = (v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2
-    subs = [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
-    all_pts, all_wts = [], []
-    for (a, b, c) in subs:
-        sub = np.stack([a, b, c], axis=1)
-        all_pts.append(np.einsum("qk,fkd->fqd", bary, sub))
-        all_wts.append(np.outer(mesh.areas / 4.0, w))
-    return np.concatenate(all_pts, axis=1), np.concatenate(all_wts, axis=1)
+    corners, areas = mesh.vertices[mesh.triangles], mesh.areas
+    if subdivide:
+        mid, sub = _split4(mesh.vertices, mesh.triangles)
+        corners, areas = np.concatenate([mesh.vertices, mid])[sub], np.repeat(areas / 4.0, 4)
+    F = mesh.num_panels
+    pts = np.einsum("qk,fkd->fqd", bary, corners).reshape(F, -1, 3)
+    return pts, np.outer(areas, w).reshape(F, -1)
 
 
-# the last mesh asked for, keyed to the object (TriMesh compares by
-# identity), so a solve and every evaluation on its solution share it
-@lru_cache(maxsize=1)
+# {order: (unit, points, weights)} per mesh object (TriMesh hashes by
+# identity), so a solve and every evaluation on its solution share one
+# discretisation, which dies with its mesh
+_UNIT_DISCRETISATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _unit_discretisation(mesh: TriMesh, order: int) -> tuple[TriMesh, np.ndarray, np.ndarray]:
     """The mesh times 2^-e, e = `TriMesh._exponent`: an exact copy whose
     every coordinate lies below 1 in magnitude, with the plain panel rule on
     it, points (F, Q, 3) and weights (F, Q)."""
-    unit = TriMesh(np.ldexp(mesh.vertices, -mesh._exponent), mesh.triangles)
-    return (unit, *panel_quadrature(unit, order))
+    per_order = _UNIT_DISCRETISATIONS.setdefault(mesh, {})
+    if order not in per_order:
+        unit = TriMesh(np.ldexp(mesh.vertices, -mesh._exponent), mesh.triangles)
+        per_order[order] = (unit, *panel_quadrature(unit, order))
+    return per_order[order]
 
 
 def _lane_grid(width: int, count: int) -> tuple[int, int]:
@@ -754,13 +757,21 @@ def capacity_three_ways(sol: EquilibriumSolution, far_radius: float
 
     Both far-sphere values are formed at the mesh's unit scale
     (`eval_fields_at_unit_scale`) and scaled back by 2^e, all exact, so the
-    squared radius and Du stay in range wherever the far points do.
+    squared radius and Du stay in range wherever the far points do.  Raises
+    ArithmeticError when far_radius times 2^-e exceeds 2^300: up to there
+    the kernel weights sigma w/|r|^3 stay normal for sigma w at unit scale
+    down to 2^-40, while further out they can leave the normal range and
+    the flux lose digits without a warning (on the L1-L4 sphere and the L3
+    spheroid it first moves between 2^339 and 2^341).
     """
     if far_radius < 10.0 * sol.mesh.diameter:
         raise ValueError(
             f"far_radius {far_radius} below 10x mesh diameter {sol.mesh.diameter}"
         )
     e = sol.mesh._exponent
+    if not math.ldexp(far_radius, -e) <= 2.0**300:
+        raise ArithmeticError(f"far_radius {far_radius} exceeds 2^300 times the mesh's "
+                              f"scale 2^{e}: the far-field kernel could underflow")
     center = sol.mesh.center
     dirs, _ = _unit_icosphere(2)
     X = center + far_radius * dirs

@@ -263,33 +263,44 @@ _ICO_FACES = np.array(
 )
 
 
+def _split4(vertices: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge-midpoint 4:1 split of a triangle mesh: the midpoints
+    (a + b)/2, one per edge, numbered V, V + 1, ... in the order in which
+    the triangles first use their edges (ij, jk, ki of each triangle in
+    turn), and the 4F sub-triangles (i, a, c), (j, b, a), (k, c, b),
+    (a, b, c) of triangle (i, j, k), a, b and c the midpoints of ij, jk and
+    ki, those of triangle f at rows 4f to 4f + 3.  A midpoint is the same
+    from either end of its edge, as floating-point addition commutes."""
+    V = len(vertices)
+    a, b = triangles.reshape(-1), triangles[:, [1, 2, 0]].reshape(-1)
+    _, first, edge = np.unique(np.minimum(a, b) * V + np.maximum(a, b),
+                               return_index=True, return_inverse=True)
+    # edge numbers each corner's edge by its key; used lists the keys in
+    # order of first use, and argsort(used) renumbers the edges in that order
+    used = np.argsort(first)
+    mid = (vertices[a[first[used]]] + vertices[b[first[used]]]) / 2
+    i, j, k = triangles.T
+    ma, mb, mc = (V + np.argsort(used)[edge]).reshape(-1, 3).T
+    sub = np.stack([i, ma, mc, j, mb, ma, k, mc, mb, ma, mb, mc], axis=1)
+    return mid, sub.reshape(-1, 3)
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row over its norm, the square root of a BLAS dot of that one
+    3-vector, so every row gets the bits of `row / np.linalg.norm(row)`."""
+    return v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+
+
 def _unit_icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subdivide the icosahedron `level` times, vertices on the unit sphere."""
+    """Split the icosahedron 4:1 `level` times, vertices on the unit sphere."""
     if level < 0:
         raise ValueError(f"subdivision level must be >= 0, got {level}")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = _ICO_FACES
+    verts, faces = _unit_rows(_ICO_VERTS), _ICO_FACES
     for _ in range(level):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            idx = cache.get(key)
-            if idx is None:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                idx = len(verts) - 1
-                cache[key] = idx
-            return idx
-
-        new_faces = []
-        for i, j, k in faces:
-            a = midpoint(i, j)
-            b = midpoint(j, k)
-            c = midpoint(k, i)
-            new_faces.extend([(i, a, c), (j, b, a), (k, c, b), (a, b, c)])
-        faces = np.array(new_faces, dtype=np.int64)
-    return np.array(verts), faces
+        mid, faces = _split4(verts, faces)
+        # halving is exact, so (m/2)/|m/2| = m/|m| bitwise
+        verts = np.concatenate([verts, _unit_rows(mid)])
+    return verts, faces
 
 
 def make_sphere_mesh(R: float, level: int) -> TriMesh:

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -7,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -313,6 +315,24 @@ def _frozen_norm(v):
     return np.sqrt(s, out=s)
 
 
+def _frozen_panel_quadrature(mesh, order, subdivide=False):
+    # the panel rule as it was before the 4:1 split was written once: the
+    # subdivided rule one sub-triangle at a time from per-panel midpoints
+    bary, w = bem.triangle_rule(order)
+    p = mesh.vertices[mesh.triangles]
+    if not subdivide:
+        return np.einsum("qk,fkd->fqd", bary, p), np.outer(mesh.areas, w)
+    v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
+    m01, m12, m20 = (v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2
+    subs = [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
+    all_pts, all_wts = [], []
+    for (a, b, c) in subs:
+        sub = np.stack([a, b, c], axis=1)
+        all_pts.append(np.einsum("qk,fkd->fqd", bary, sub))
+        all_wts.append(np.outer(mesh.areas / 4.0, w))
+    return np.concatenate(all_pts, axis=1), np.concatenate(all_wts, axis=1)
+
+
 def _frozen_single_layer_rows(mesh, rows, order):
     # the row kernel as it was before its loops were made cache-sized: the
     # far field by one (rows, F*Q, 3) difference block per 5e6 distances,
@@ -320,7 +340,7 @@ def _frozen_single_layer_rows(mesh, rows, order):
     rows = np.asarray(rows)
     F = mesh.num_panels
     cen = mesh.centroids
-    pts, wts = bem.panel_quadrature(mesh, order)
+    pts, wts = _frozen_panel_quadrature(mesh, order)
     Q = pts.shape[1]
     pts, wts = pts.reshape(-1, 3), wts.reshape(-1)
 
@@ -338,7 +358,7 @@ def _frozen_single_layer_rows(mesh, rows, order):
     i = rows[r]
     keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
     r, i, j = r[keep], i[keep], j[keep]
-    spts, swts = bem.panel_quadrature(mesh, order, subdivide=True)
+    spts, swts = _frozen_panel_quadrature(mesh, order, subdivide=True)
     out[r, j] = (swts[j] / _frozen_norm(cen[i][:, None, :] - spts[j])).sum(axis=1) / FOUR_PI
 
     p = mesh.vertices[mesh.triangles[rows]]
@@ -1092,3 +1112,65 @@ class TestUnitDiscretisation:
         bem.eval_fields_at_unit_scale(sol, X)
         bem.eval_fields(sol, X)
         assert rules == [] and meshes == []
+
+    def test_memo_dies_with_its_mesh(self):
+        sol = bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6)
+        mesh = weakref.ref(sol.mesh)
+        del sol
+        gc.collect()
+        assert mesh() is None
+
+    def test_alternating_evaluations_build_no_rule(self, monkeypatch):
+        sols = [bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6),
+                bem.solve_equilibrium(geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2), 6)]
+        X = fn.sample_exterior_points(sols[1].mesh, 4, 1)
+        rules = []
+        rule = bem.panel_quadrature
+        monkeypatch.setattr(bem, "panel_quadrature",
+                            lambda *args, **kwargs: rules.append(args) or rule(*args, **kwargs))
+        for sol in sols + sols:
+            bem.eval_fields(sol, X)
+        assert rules == []
+
+
+def _relabelled(mesh, seed):
+    # the same surface with its vertices numbered in a random order
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return geo.TriMesh(verts, perm[mesh.triangles])
+
+
+SPLIT_MESHES = {
+    "sphere-R1.3-L4": lambda: geo.make_sphere_mesh(1.3, 4),
+    "moved-spheroid-L3": _moved_spheroid_l3,
+    "bumpy-L2": lambda: geo.make_bumpy_sphere_mesh(1.0, 2),
+    "sphere-R1e-140-L2": lambda: geo.make_sphere_mesh(1e-140, 2),
+    "sphere-R1e150-L1": lambda: geo.make_sphere_mesh(1e150, 1),
+}
+
+
+class TestSplitRule:
+    """The plain and subdivided panel rules are one path over
+    `geometry._split4`, bitwise the per-sub-triangle rule they replaced."""
+
+    @pytest.mark.parametrize("subdivide", [False, True])
+    @pytest.mark.parametrize("order", [1, 3, 6, 12])
+    @pytest.mark.parametrize("name", list(SPLIT_MESHES))
+    def test_rule_bitwise_equal_to_frozen(self, name, order, subdivide):
+        mesh = SPLIT_MESHES[name]()
+        pts, wts = bem.panel_quadrature(mesh, order, subdivide)
+        frozen_pts, frozen_wts = _frozen_panel_quadrature(mesh, order, subdivide)
+        assert np.array_equal(pts, frozen_pts)
+        assert np.array_equal(wts, frozen_wts)
+
+    @pytest.mark.parametrize("order", [1, 3, 6, 12])
+    @pytest.mark.parametrize("name", ["spheroid-L3", "bumpy-L2"])
+    def test_subdivided_rule_independent_of_vertex_labels(self, name, order):
+        mesh = {"spheroid-L3": lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 3),
+                "bumpy-L2": lambda: geo.make_bumpy_sphere_mesh(1.0, 2)}[name]()
+        pts, wts = bem.panel_quadrature(mesh, order, subdivide=True)
+        relabelled_pts, relabelled_wts = bem.panel_quadrature(_relabelled(mesh, seed=5), order,
+                                                              subdivide=True)
+        assert np.array_equal(pts, relabelled_pts)
+        assert np.array_equal(wts, relabelled_wts)

@@ -507,6 +507,46 @@ class TestExtremeRadius:
         assert rep["verdict"] is True and rep["reasons"] == []
 
 
+def _far_mult_bound():
+    # the largest --far-mult whose far radius, for the L1 unit sphere, is
+    # at most 2^300 times the mesh's scale
+    mesh = geo.make_sphere_mesh(1.0, 1)
+    return math.ldexp(1.0, 300 + mesh._exponent) / mesh.diameter * (1 - 2**-40)
+
+
+class TestFarMultiple:
+    """The far sphere's fields are formed at the mesh's unit scale, where
+    the kernel weights sigma w/|r|^3 stay normal while the radius is within
+    2^300; `capacity` refuses a larger --far-mult rather than print a flux
+    that has lost digits, or -0."""
+
+    @pytest.mark.parametrize("far_mult", ["1e50", "1e70", "1e90", "bound"])
+    def test_flux_equals_the_near_value(self, tmp_path, capsys, far_mult):
+        far_mult = repr(_far_mult_bound()) if far_mult == "bound" else far_mult
+        out, near = tmp_path / "far.json", tmp_path / "near.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["capacity", "--shape", "sphere", "1", "1", "--far-mult", far_mult,
+                        "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(["capacity", "--shape", "sphere", "1", "1", "--far-mult", "15",
+                    "--output", str(near)]) == 0
+        flux = json.loads(out.read_text())["cap_flux"]
+        assert flux == pytest.approx(json.loads(near.read_text())["cap_flux"], rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("far_mult", ["1e110", "1e154", "1e300"])
+    def test_beyond_the_bound_exits_2(self, far_mult):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "capsym.cli", "capacity", "--shape", "sphere",
+             "1", "1", "--far-mult", far_mult, "--format", "csv"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+        assert done.returncode == cli.EXIT_SOLVER == 2
+        assert done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error:") and "far_radius" in line and "2^300" in line
+
+
 class TestShapeTable:
     def test_bare_oracle_sphere_is_the_unit_ball(self, capsys):
         assert run(["oracle", "--shape", "sphere"]) == 0

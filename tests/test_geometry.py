@@ -38,6 +38,79 @@ class TestSphereMesh:
             geo.make_sphere_mesh(0.0, 1)
 
 
+def _frozen_unit_icosphere(level):
+    # the icosphere as it was built before the split was written once as
+    # array code: a loop over faces with a dict of midpoints
+    verts = [v / np.linalg.norm(v) for v in geo._ICO_VERTS]
+    faces = geo._ICO_FACES
+    for _ in range(level):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            idx = cache.get(key)
+            if idx is None:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                idx = len(verts) - 1
+                cache[key] = idx
+            return idx
+
+        new_faces = []
+        for i, j, k in faces:
+            a = midpoint(i, j)
+            b = midpoint(j, k)
+            c = midpoint(k, i)
+            new_faces.extend([(i, a, c), (j, b, a), (k, c, b), (a, b, c)])
+        faces = np.array(new_faces, dtype=np.int64)
+    return np.array(verts), faces
+
+
+def _relabelled(mesh, seed):
+    # the same surface with its vertices numbered in a random order
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return geo.TriMesh(verts, perm[mesh.triangles])
+
+
+class TestSplit4:
+    @pytest.mark.parametrize("level", range(7))
+    def test_icosphere_bitwise_equal_to_frozen_loop(self, level):
+        verts, faces = geo._unit_icosphere(level)
+        frozen_verts, frozen_faces = _frozen_unit_icosphere(level)
+        assert np.array_equal(verts, frozen_verts)
+        assert np.array_equal(faces, frozen_faces) and faces.dtype == frozen_faces.dtype
+
+    @pytest.mark.parametrize("shape", ["spheroid-L3", "bumpy-L2"])
+    def test_split_of_relabelled_mesh_is_closed(self, shape):
+        mesh = _relabelled({"spheroid-L3": lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 3),
+                            "bumpy-L2": lambda: geo.make_bumpy_sphere_mesh(1.0, 2)}[shape](),
+                           seed=5)
+        V, F = mesh.num_vertices, mesh.num_panels
+        mid, sub = geo._split4(mesh.vertices, mesh.triangles)
+        assert len(mid) == 3 * F // 2 and sub.shape == (4 * F, 3)
+        fine = geo.TriMesh(np.concatenate([mesh.vertices, mid]), sub)
+        rep = geo.validate(fine)
+        assert rep.ok and rep.euler_characteristic == 2
+        # midpoints numbered from V in the order the triangles first use
+        # their edges ij, jk, ki
+        first_use = {}
+        for i, j, k in mesh.triangles.tolist():
+            for a, b in ((i, j), (j, k), (k, i)):
+                first_use.setdefault((min(a, b), max(a, b)), (a, b))
+        a, b = np.array(list(first_use.values())).T
+        assert np.array_equal(mid, (mesh.vertices[a] + mesh.vertices[b]) / 2)
+        i, j, k = mesh.triangles.T
+        m = {key: V + n for n, key in enumerate(first_use)}
+        ma, mb, mc = (np.array([m[min(p, q), max(p, q)] for p, q in zip(x, y)])
+                      for x, y in ((i, j), (j, k), (k, i)))
+        assert np.array_equal(sub[0::4], np.column_stack([i, ma, mc]))
+        assert np.array_equal(sub[1::4], np.column_stack([j, mb, ma]))
+        assert np.array_equal(sub[2::4], np.column_stack([k, mc, mb]))
+        assert np.array_equal(sub[3::4], np.column_stack([ma, mb, mc]))
+
+
 class TestEllipsoidMesh:
     def test_sphere_special_case(self):
         a = geo.make_sphere_mesh(1.5, 2)
