@@ -72,7 +72,7 @@ def __getattr__(name):
 # element budget of one kernel temporary.  The kernel loops cut their work
 # into chunks whose planes hold at most _CHUNK doubles (1 MB): one
 # (panels*Q, F) plane of squared distances per lane in the far field and
-# seven (points, F*Q) planes per lane in the field evaluator, in both
+# six (points, F*Q) planes per lane in the field evaluator, in both
 # cases shared among the lanes, so that all lanes' planes together stay
 # within the budget of one unless one item a lane exceeds it (`_lane_grid`).
 # Every numpy pass over them then runs in cache, where a (rows, F*Q, 3)
@@ -643,8 +643,9 @@ def eval_fields_at_unit_scale(sol: EquilibriumSolution, X
     unscaled one at any radius.  An error names a point as X gives it.
 
     u(x) = int sigma(y) / (4 pi |x - y|) dA(y); Du and D2u by the kernel
-    gradient -r/(4 pi |r|^3) and Hessian (3 rr^T - |r|^2 I)/(4 pi |r|^5),
-    r = x - y.
+    gradient -r/(4 pi |r|^3) and Hessian (3 rhat rhat^T - I)/(4 pi |r|^3),
+    r = x - y and rhat = r/|r|.  The smallest weight formed is
+    sigma w/|r|^3, the one Du needs, so D2u stays right as far out as Du.
 
     First the points within the mesh's bounding sphere get the
     winding-number test, in chunks taken in X's order, and the first point
@@ -676,17 +677,16 @@ def eval_fields_at_unit_scale(sol: EquilibriumSolution, X
     P, n = len(X), len(sw)
     u, Du, D2u = np.empty(P), np.empty((P, 3)), np.empty((P, 3, 3))
     lanes, chunk = _lane_grid(n, P)
-    # per lane: the three planes of r = x - y, then 1/|r| (later the
-    # products to sum), sigma w/|r|^3, sigma w/|r|^5 and one scratch plane,
-    # each (points, F*Q)
-    planes = np.empty((lanes, 7, min(chunk, P), n))
+    # per lane: the three planes of r = x - y (later of r/|r|), then 1/|r|
+    # (later sigma w r_a/|r|^4), sigma w/|r|^3 and one scratch plane that
+    # holds each product to sum, each (points, F*Q)
+    planes = np.empty((lanes, 6, min(chunk, P), n))
 
     def fields(lane, start):
-        x = Xu[start:start + chunk]
-        m = len(x)
-        diff, (inv_r, w3, w5, t) = planes[lane, :3, :m], planes[lane, 3:, :m]
-        for k in range(3):
-            np.subtract(x[:, k:k + 1], Y[k], out=diff[k])
+        at = slice(start, start + chunk)
+        x = Xu[at]
+        diff, (inv_r, w3, t) = planes[lane, :3, :len(x)], planes[lane, 3:, :len(x)]
+        np.subtract(x.T[:, :, None], Y[:, None], out=diff)
         np.multiply(diff[0], diff[0], out=inv_r)
         for k in (1, 2):
             np.multiply(diff[k], diff[k], out=t)
@@ -695,19 +695,18 @@ def eval_fields_at_unit_scale(sol: EquilibriumSolution, X
         np.divide(1.0, inv_r, out=inv_r)
         np.multiply(inv_r, inv_r, out=t)
         np.multiply(sw, inv_r, out=w3)
-        at = slice(start, start + m)
         u[at] = w3.sum(axis=1)
         np.multiply(w3, t, out=w3)
-        np.multiply(w3, t, out=w5)
-        # the 1/|r| plane is free from here on: each product lands in it
-        # and is summed row by row
+        for a in range(3):
+            np.multiply(w3, diff[a], out=t)
+            Du[at, a] = -t.sum(axis=1)
+        # r becomes rhat = r/|r|; the 1/|r| plane is then free
+        np.multiply(diff, inv_r, out=diff)
         for a in range(3):
             np.multiply(w3, diff[a], out=inv_r)
-            Du[at, a] = -inv_r.sum(axis=1)
-            np.multiply(w5, diff[a], out=t)
             for b in range(a, 3):
-                np.multiply(t, diff[b], out=inv_r)
-                D2u[at, a, b] = D2u[at, b, a] = 3.0 * inv_r.sum(axis=1)
+                np.multiply(inv_r, diff[b], out=t)
+                D2u[at, a, b] = D2u[at, b, a] = 3.0 * t.sum(axis=1)
         D2u[at] -= w3.sum(axis=1)[:, None, None] * np.eye(3)
 
     _each_chunk(fields, range(0, P, chunk), lanes)

@@ -8,6 +8,13 @@ verdict from the boundary and exterior fields of any discretisation.
 
 Both integrals are evaluated with u = 1 on the boundary (the potential is
 normalized there), so |Du|/u reduces to |Du|.
+
+`verify` is the only place that forms F1, the F2 sides, Cap F2, the
+exterior scan and the three threshold tests: the exact ball
+(`ball_boundary_fields`) and the BEM (`verify_solution`, a short adapter)
+both go through it.  The scan is one batched pass over all sample points,
+and its measures are scale-free, so on the BEM's unit-scale fields every
+deficit and residual is that of the unscaled problem.
 """
 
 from __future__ import annotations

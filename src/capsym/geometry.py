@@ -6,6 +6,16 @@ cotangent formula with mixed Voronoi areas, and ASCII OFF file I/O.
 
 Curvature sign convention: outward normals, H > 0 on convex surfaces, so
 the unit sphere has H = +1.
+
+Every product of coordinates (edge cross products, areas, normals, edge
+lengths, the centre, validation and the curvature) is formed at one exact
+scale: each mesh keeps the binary exponent e of its largest |coordinate|
+(`TriMesh._exponent`), works on its vertices times 2^-e and scales each
+result back by `np.ldexp`.  So every value is bitwise the unscaled one at
+ordinary scales, and none overflows or underflows while the result itself
+is representable.  One edge-midpoint 4:1 split (`_split4`) builds the
+icosphere and the BEM near field's subdivided panel rule.  `validate`
+reports; `require_valid` raises `MeshError`.
 """
 
 from __future__ import annotations

@@ -114,19 +114,26 @@ def ellipsoid_capacity(a: float, b: float, c: float) -> float:
     Classical closed form 8 pi / I with
         I = int_0^inf ds / sqrt((a^2+s)(b^2+s)(c^2+s)) = 2 R_F(a^2, b^2, c^2),
     Carlson's symmetric elliptic integral (Carlson 1995), taken on the axes
-    times 2^-e (e the binary exponent of the largest) and scaled back by
-    2^e, all exact: Cap(2^k axes) = 2^k Cap(axes) bitwise.  Reduces to
-    4 pi R for a = b = c = R.  Raises ArithmeticError when the capacity is
-    beyond the float range or two axes are below about 1e-154 of the
-    largest (their squares vanish and R_F is infinite).
+    times 2^-e (e midway between the binary exponents of the largest and
+    the smallest, rounded down) and scaled back by 2^e, all exact:
+    Cap(2^k axes) = 2^k Cap(axes) bitwise.  The scaled squares stay in the
+    float range for axis ratios up to nearly 2^1022.  Reduces to 4 pi R
+    for a = b = c = R.  Raises ArithmeticError when the capacity is beyond
+    the float range or the axis ratio is beyond that limit (a square
+    overflows or vanishes and R_F is 0 or infinite).
     """
     if min(a, b, c) <= 0:
         raise ValueError(f"semi-axes must be positive, got ({a}, {b}, {c})")
     # imported here, so that the commands that never call this load no scipy
     from scipy.special import elliprf
 
-    e = math.frexp(max(a, b, c))[1]
-    rf = float(elliprf(*(math.ldexp(x, -e) ** 2 for x in (a, b, c))))
+    hi, lo = math.frexp(max(a, b, c))[1], math.frexp(min(a, b, c))[1]
+    # midway, so the squares spread over the float range; never so low that
+    # the largest scaled axis itself overflows (it then squares to inf)
+    e = max((hi + lo) // 2, hi - 1023)
+    scaled = [math.ldexp(x, -e) for x in (a, b, c)]
+    # x * x overflows to inf, where x ** 2 would raise OverflowError
+    rf = float(elliprf(*(x * x for x in scaled)))
     # 4 pi / R_F = m 2^k with 1/2 <= m < 1: the capacity m 2^(k+e) is finite iff k + e <= 1024
     if not (0.0 < rf < math.inf and math.frexp(4.0 * math.pi / rf)[1] + e <= 1024):
         raise ArithmeticError(

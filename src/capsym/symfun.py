@@ -6,6 +6,12 @@ quadratic form w^T S^2(A) w, and the Newton deficit
     (n-1)/(2n) Tr(A)^2 - S_2(A) >= 0,
 
 whose vanishing (for Tr != 0) forces A to be a multiple of the identity.
+
+Every function but `is_identity_multiple` takes one matrix (n, n) or a
+stack (..., n, n) and gives each matrix of a stack the bits of a call on
+that matrix alone; `dot`, `matvec` and `quadratic_form` are a.b, A w and
+w^T A w over the last axes, rounded as `a @ b`, `A @ w` and `w @ A @ w`
+on one pair.
 """
 
 from __future__ import annotations

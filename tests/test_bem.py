@@ -244,6 +244,33 @@ class TestEvaluation:
         assert bem.winding_number(m, [3.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
 
 
+class TestFarHessian:
+    """D2u far out is the point charge's, Cap/(4 pi) (3 xhat xhat^T - I)/|x - c|^3,
+    also where sigma w/|r|^5 would underflow (t = 1e70 on, at unit scale)."""
+
+    @pytest.fixture(scope="class")
+    def sphere1_sol(self):
+        return bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 1), 6)
+
+    @pytest.fixture(scope="class")
+    def moved_spheroid_sol(self):
+        return bem.solve_equilibrium(_moved_spheroid(), 6)
+
+    @pytest.mark.parametrize("t", [1e10, 1e70, 1e100])
+    def test_sphere_on_the_x_axis(self, sphere1_sol, t):
+        D2u = bem.eval_hessian(sphere1_sol, [t, 0.0, 0.0])
+        scaled = D2u * t**3 / (sphere1_sol.capacity / FOUR_PI)
+        assert np.abs(scaled - np.diag([2.0, -1.0, -1.0])).max() <= 1e-8
+
+    @pytest.mark.parametrize("t", [1e70, 1e100])
+    def test_moved_rotated_spheroid(self, moved_spheroid_sol, t):
+        d = np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25)
+        c = np.array([1.5, -0.4, 2.0])
+        D2u = bem.eval_hessian(moved_spheroid_sol, c + t * d)
+        scaled = D2u * t**3 / (moved_spheroid_sol.capacity / FOUR_PI)
+        assert np.abs(scaled - (3.0 * np.outer(d, d) - np.eye(3))).max() <= 1e-8
+
+
 class TestBoundaryGradient:
     """|Du| on the boundary is sigma, by the layer jump."""
 

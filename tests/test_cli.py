@@ -301,6 +301,10 @@ class TestOracle:
         assert run(["oracle", "--shape", "ellipsoid", "1e-20", "1e-20", "1e-20"]) == 0
         assert json.loads(capsys.readouterr().out)["capacity"] == \
             pytest.approx(4 * math.pi * 1e-20, rel=1e-15, abs=0)
+        # the prolate closed form at axis ratio 1e300, by mpmath
+        assert run(["oracle", "--shape", "ellipsoid", "1e300", "1", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["capacity"] == \
+            pytest.approx(1.8173448873772313755e298, rel=1e-15, abs=0)
 
     def test_17g_round_trip(self, capsys):
         assert run(["oracle", "--shape", "sphere", "1.3"]) == 0
@@ -377,7 +381,8 @@ MALFORMED = [
     (["oracle", "--shape", "sphere", "1e300", "--dim", "5"], cli.EXIT_SOLVER),
     (["oracle", "--shape", "sphere", "1e-300", "--dim", "5"], cli.EXIT_SOLVER),
     (["oracle", "--shape", "sphere", "1e-300", "--dim", "3"], cli.EXIT_SOLVER),
-    (["oracle", "--shape", "ellipsoid", "1e300", "1", "1"], cli.EXIT_SOLVER),
+    (["oracle", "--shape", "ellipsoid", "1e300", "1e-10", "1e-10"], cli.EXIT_SOLVER),
+    (["oracle", "--shape", "ellipsoid", "1e308", "1e308", "1e308"], cli.EXIT_SOLVER),
     (["capacity", "--shape", "sphere", "1e200", "0"], cli.EXIT_MESH),
 ]
 

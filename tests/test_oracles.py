@@ -163,7 +163,17 @@ def test_ellipsoid_capacity_is_homogeneous(axes, t):
         pytest.approx(t * oracles.ellipsoid_capacity(*axes), rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("axes", [(1e300, 1.0, 1.0), (1e308, 1e308, 1e308)])
+def test_ellipsoid_capacity_of_axis_ratio_1e300():
+    # 4 pi sqrt(a^2 - c^2) / acosh(a/c) at a = 1e300, c = 1, by mpmath at 40
+    # digits: the unit axes' squares at the largest axis's scale would vanish
+    assert oracles.ellipsoid_capacity(1e300, 1.0, 1.0) == \
+        pytest.approx(1.8173448873772313755e298, rel=1e-15, abs=0)
+
+
+# axis ratios whose squares span more than the float range, the last one
+# beyond 2^2046, and a capacity that overflows
+@pytest.mark.parametrize("axes", [(1e300, 1e-10, 1e-10), (1e308, 1e308, 1e308),
+                                  (1e308, 1.0, 5e-324)])
 def test_ellipsoid_capacity_beyond_the_float_range(axes):
     with pytest.raises(ArithmeticError, match="float range") as exc:
         oracles.ellipsoid_capacity(*axes)
