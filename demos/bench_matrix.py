@@ -8,9 +8,11 @@
 # printed and that capacity's relative error against the closed-form value
 # of `capsym oracle`.  Each shape and level also gets the stage times of
 # `demos/stage_times.py` (mesh, validate, far, near and diagonal assembly,
-# GMRES, the residual matvec, `eval_fields`, the scan and the import), run
-# in its own fresh process at the same number of samples; it times a
-# sphere of radius 1.3, whose stages cost what the unit sphere's do.
+# the preconditioner's setup, GMRES, the residual matvec, `eval_fields`,
+# the scan and the import) and its GMRES iteration count and condition
+# estimate, run in its own fresh process at the same number of samples;
+# it times a sphere of radius 1.3, whose stages cost what the unit
+# sphere's do.
 #
 #     python demos/bench_matrix.py [--levels 2 3 4 5] [--spheroid-levels 4]
 #         [--samples N] [--src DIR] [--output FILE --label NAME]
@@ -36,6 +38,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 STAGE = re.compile(r"^  (\w+)\s+(-?[0-9.]+) s$")
+SOLVER = re.compile(r"^  GMRES iterations (\d+); condition estimate (\S+)$", re.M)
 SHAPES = {"sphere": ["sphere", "1"], "spheroid": ["ellipsoid", "2", "1", "1"]}
 
 
@@ -61,18 +64,22 @@ def capsym(args, env) -> dict:
     return run_fresh([sys.executable, "-m", "capsym.cli", *args], env)
 
 
-def stages(shape: str, level: int, samples: int, env) -> dict:
+def stages(shape: str, level: int, samples: int, env) -> tuple[dict, dict]:
+    """Stage times, and the GMRES iteration count and condition estimate."""
     argv = [sys.executable, str(HERE / "stage_times.py"), str(level), "--samples", str(samples)]
     run = run_fresh(argv + (["--spheroid"] if shape == "spheroid" else []), env)
     if run["exit"] != 0:
         raise RuntimeError(f"stage_times.py {level} ({shape}) exited with {run['exit']}")
-    return {m[1]: float(m[2]) for m in map(STAGE.match, run["stdout"].splitlines()) if m}
+    out = run["stdout"]
+    iterations, cond = SOLVER.search(out).groups()
+    return ({m[1]: float(m[2]) for m in map(STAGE.match, out.splitlines()) if m},
+            {"gmres_iterations": int(iterations), "cond_estimate": float(cond)})
 
 
 def measure(args) -> dict:
     env = child_env(args.src)
     cases = [("sphere", L) for L in args.levels] + [("spheroid", L) for L in args.spheroid_levels]
-    rows, stage_times = [], {}
+    rows, stage_times, solver = [], {}, {}
     oracles = {shape: json.loads(capsym(["oracle", "--shape", *SHAPES[shape]], env)["stdout"])
                ["capacity"] for shape, _ in cases}
     for shape, level in cases:
@@ -91,12 +98,13 @@ def measure(args) -> dict:
             rows.append(row)
             print(f"{shape} L{level} {command}: {row['wall_s']:.3f} s, "
                   f"{row['peak_rss_mb']:.1f} MB", file=sys.stderr)
-        stage_times[f"{shape} L{level}"] = stages(shape, level, args.samples, env)
+        stage_times[f"{shape} L{level}"], solver[f"{shape} L{level}"] = \
+            stages(shape, level, args.samples, env)
     return {"machine": {"platform": platform.platform(), "processor": _cpu(),
                         "cores": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(),
                         "openblas_threads": env["OPENBLAS_NUM_THREADS"]},
-            "samples": args.samples, "rows": rows, "stages_s": stage_times}
+            "samples": args.samples, "rows": rows, "stages_s": stage_times, "solver": solver}
 
 
 def _cpu() -> str:

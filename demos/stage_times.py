@@ -3,11 +3,11 @@
 # Times `import capsym.cli` in a fresh interpreter (the start-up every
 # `capsym` command pays; `import capsym` alone loads nothing), the stages
 # of one `bem.solve_equilibrium` call (far-field, near-field and
-# self-integral parts of the assembly and the GMRES solve,
-# each timed by wrapping its function in `bem` for the length of the call,
-# the residual check's matrix-vector product after GMRES, and the rest of
-# the call: its validation and the condition estimate), one
-# `bem.eval_fields` call on the sample points
+# self-integral parts of the assembly, the setup of the near-field
+# preconditioner and the GMRES solve, each timed by wrapping its function
+# in `bem` for the length of the call, the residual check's matrix-vector
+# product after GMRES, and the rest of the call: its validation and the
+# condition estimate), one `bem.eval_fields` call on the sample points
 # `verify` would scan and one scan of those points as `verify` makes it
 # (`bem.eval_fields_at_unit_scale`, the same fields left at the mesh's unit
 # scale, then `functionals._scan`: the v-transform, Newton deficit and pbv
@@ -72,9 +72,12 @@ def main() -> None:
     F, order = mesh.num_panels, args.quad_order
     stage("validate", geo.require_valid, mesh)
 
-    # one real solve, its stages timed through wrappers around their functions
+    # one real solve, its stages timed through wrappers around their functions;
+    # a checkout measured through `bench_matrix.py --src` that lacks one of
+    # them gets no line for it
     stages = {"far": "_far_entries", "near": "_near_entries", "diagonal": "_self_entries",
-              "gmres": "_gmres"}
+              "precondition": "_near_preconditioner", "gmres": "_gmres"}
+    stages = {name: attr for name, attr in stages.items() if hasattr(bem, attr)}
     originals = {name: getattr(bem, attr) for name, attr in stages.items()}
     results, lanes, matvec_times = {}, [], []
     each_chunk, row_block_matvec = bem._each_chunk, bem._row_block_matvec

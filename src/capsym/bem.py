@@ -3,17 +3,21 @@
 Piecewise-constant collocation at panel centroids for the first-kind
 equation S sigma = 1, where S is the single-layer operator with kernel
 1/(4 pi |x - y|).  The dense collocation system is solved by full GMRES,
-right-preconditioned by its diagonal.  The resulting density sigma is the
-equilibrium charge density: its integral is the capacity, and since the
-interior potential is constant, the layer jump makes sigma = |Du| on the
-boundary.  Off-surface potentials, gradients and Hessians come from
-differentiating the kernel under the integral.
+right-preconditioned by a near-field approximate inverse P: row i of P
+inverts M on panel i and every T_j whose centroid lies within 1.1 h_j,
+h_j T_j's longest edge, of c_i (`_near_preconditioner`), the smallest
+measured radius that holds the level-5 spheroid within 25 iterations;
+wider ones cost more setup than they save.  The resulting
+density sigma is the equilibrium charge density: its integral is the
+capacity, and since the interior potential is constant, the layer jump
+makes sigma = |Du| on the boundary.  Off-surface potentials, gradients
+and Hessians come from differentiating the kernel under the integral.
 
-Every number is formed on one unit-scale discretisation per mesh and
-quadrature order (`_unit_discretisation`): the mesh times 2^-e, e =
-`TriMesh._exponent`, and the plain panel rule on that copy, built once,
-kept while the mesh lives, and read by the assembly and by every
-evaluation on the solution.  Each
+Every number is formed on one unit-scale discretisation per mesh
+(`_unit_discretisation`): the mesh times 2^-e, e = `TriMesh._exponent`,
+with the plain panel rule of each quadrature order on that copy and its
+near pairs, each built once, kept while the mesh lives, and read by the
+assembly, the preconditioner and every evaluation on the solution.  Each
 matrix entry and field is scaled back to the mesh's own scale by
 `np.ldexp`, all exact, so it is bitwise the one formed at that scale
 wherever that neither overflows nor underflows, and finite at any radius
@@ -238,21 +242,39 @@ def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
     return pts, np.outer(areas, w).reshape(F, -1)
 
 
-# {order: (unit, points, weights)} per mesh object (TriMesh hashes by
-# identity), so a solve and every evaluation on its solution share one
-# discretisation, which dies with its mesh
+@dataclass(eq=False)
+class _UnitCopy:
+    """A mesh times 2^-e, with what is formed on it once: the plain panel
+    rule per quadrature order, {order: (points, weights)}, and the near
+    pairs of `_near_field` once the assembly has found them."""
+
+    unit: TriMesh
+    rules: dict
+    near: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+# one _UnitCopy per mesh object (TriMesh hashes by identity), so a solve
+# and every evaluation on its solution share one discretisation, which
+# dies with its mesh
 _UNIT_DISCRETISATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _unit_copy(mesh: TriMesh) -> _UnitCopy:
+    copy = _UNIT_DISCRETISATIONS.get(mesh)
+    if copy is None:
+        unit = TriMesh(np.ldexp(mesh.vertices, -mesh._exponent), mesh.triangles)
+        copy = _UNIT_DISCRETISATIONS[mesh] = _UnitCopy(unit, {})
+    return copy
 
 
 def _unit_discretisation(mesh: TriMesh, order: int) -> tuple[TriMesh, np.ndarray, np.ndarray]:
     """The mesh times 2^-e, e = `TriMesh._exponent`: an exact copy whose
     every coordinate lies below 1 in magnitude, with the plain panel rule on
     it, points (F, Q, 3) and weights (F, Q)."""
-    per_order = _UNIT_DISCRETISATIONS.setdefault(mesh, {})
-    if order not in per_order:
-        unit = TriMesh(np.ldexp(mesh.vertices, -mesh._exponent), mesh.triangles)
-        per_order[order] = (unit, *panel_quadrature(unit, order))
-    return per_order[order]
+    copy = _unit_copy(mesh)
+    if order not in copy.rules:
+        copy.rules[order] = panel_quadrature(copy.unit, order)
+    return (copy.unit, *copy.rules[order])
 
 
 def _lane_grid(width: int, count: int) -> tuple[int, int]:
@@ -391,23 +413,37 @@ def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(found_p), np.concatenate(found_q)
 
 
-def _near_entries(out, mesh: TriMesh, order: int) -> None:
-    """Overwrite the near-diagonal entries of `out` by one level of 4:1
-    subdivision, in chunks of candidate pairs.
+def _near_field(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The near pairs (i, j), i != j, and their centroid separations d on
+    the unit copy, searched once per mesh and kept in its `_UnitCopy`.
 
     The candidates are the pairs of centroids within twice the mesh's
     longest edge, found by `_near_pairs` on a grid of cubes of that side;
     of these, a pair (i, j) is near when its separation is below twice the
-    longest edge of its own panel T_j.  The search, the test and the
-    subdivided rule run on the unit copy of `_unit_discretisation`, and
-    each entry is scaled back by 2^e.
+    longest edge of its own panel T_j.  Read by the assembly's near field
+    and by the preconditioner.
+    """
+    copy = _unit_copy(mesh)
+    if copy.near is None:
+        cen = copy.unit.centroids
+        max_edge = copy.unit.edge_lengths.max(axis=1)
+        i, j = _near_pairs(cen, 2.0 * float(max_edge.max()))
+        d = np.linalg.norm(cen[i] - cen[j], axis=1)
+        keep = (i != j) & (d < 2.0 * max_edge[j])
+        copy.near = (i[keep], j[keep], d[keep])
+    return copy.near
+
+
+def _near_entries(out, mesh: TriMesh, order: int) -> None:
+    """Overwrite the near-diagonal entries of `out` by one level of 4:1
+    subdivision, in chunks of the pairs of `_near_field`.
+
+    The subdivided rule runs on the unit copy of `_unit_discretisation`,
+    and each entry is scaled back by 2^e.
     """
     unit = _unit_discretisation(mesh, order)[0]
     cen = unit.centroids
-    max_edge = unit.edge_lengths.max(axis=1)
-    i, j = _near_pairs(cen, 2.0 * float(max_edge.max()))
-    keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
-    i, j = i[keep], j[keep]
+    i, j, _ = _near_field(mesh)
     spts, swts = panel_quadrature(unit, order, subdivide=True)
     # coordinate planes (F, 4Q) of the subdivided rule's points
     planes = np.moveaxis(spts, -1, 0).copy()
@@ -509,38 +545,95 @@ def _row_block_matvec(M: np.ndarray):
     return matvec
 
 
+# the near-field preconditioner's neighbours of panel i are the T_j whose
+# centroid lies within _NEAR_RADIUS h_j of c_i, h_j T_j's longest edge.
+# GMRES iterations (setup s) at radius h_j, 1.1 h_j and 1.25 h_j, single
+# runs on a 2-core Xeon at one BLAS thread: L4 sphere 13, 11 (0.030), 11;
+# L5 sphere 16, 14 (0.11); L4 2:1:1 spheroid 17, 16 (0.047), 15 (0.097);
+# L5 spheroid 26 (0.19), 24 (0.27), 23 (0.50).  1.1 h_j is the smallest
+# of these that keeps the L5 spheroid within 25 iterations; 1.5 h_j and
+# 2 h_j cost more setup than they save
+_NEAR_RADIUS = 1.1
+
+
+def _near_preconditioner(M: np.ndarray, mesh: TriMesh):
+    """x -> P x, the overlapped near-field approximate inverse of M
+    (Nabors, Korsmeyer, Leighton & White, SIAM J. Sci. Comput. 15, 1994).
+
+    Panel i's neighbours are N_i = {i} and the j of its near pairs
+    (`_near_field`) whose centroid lies within _NEAR_RADIUS h_j of c_i,
+    h_j T_j's longest edge: at most 13 panels on the icospheres and 21 on
+    the 2:1:1 spheroids up to level 5, which takes the level-4 sphere's
+    GMRES from 36 iterations to 11.  Row i of P is the row of
+    M[N_i, N_i]^-1 that belongs to i, zero off N_i.  The blocks are
+    gathered from M with i first and padded with the identity to the
+    largest |N_i| = k, and one batched `np.linalg.solve` of their
+    transposes against e_1 gives every row at once; the padding's entries
+    of a row come out 0.  P x is then one gather and one row sum,
+    (P x)_i = sum_k z_ik x[nb_ik].  Raises SolverError on a singular
+    block.
+    """
+    i, j, d = _near_field(mesh)
+    close = d < _NEAR_RADIUS * _unit_copy(mesh).unit.edge_lengths.max(axis=1)[j]
+    i, j = i[close], j[close]
+    at = np.argsort(i, kind="stable")
+    i, j = i[at], j[at]
+    F = len(M)
+    count = np.bincount(i, minlength=F) + 1
+    k = int(count.max())
+    # the padding points at i itself, where its zero weight meets a finite x
+    nb = np.repeat(np.arange(F)[:, None], k, axis=1)
+    # each panel's pairs are one run of the sorted ones; slot 0 is i itself
+    first = np.cumsum(count) - count - np.arange(F)
+    nb[i, 1 + np.arange(len(i)) - first[i]] = j
+    real = np.arange(k) < count[:, None]
+    blocks = M[nb[:, :, None], nb[:, None, :]]
+    blocks[~(real[:, :, None] & real[:, None, :])] = 0.0
+    blocks.reshape(F, k * k)[:, ::k + 1][~real] = 1.0
+    try:
+        z = np.linalg.solve(blocks.transpose(0, 2, 1), np.eye(k, 1)[None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise SolverError("singular near-field block in the preconditioner") from None
+
+    def precondition(x):
+        return (z * x[nb]).sum(axis=1)
+
+    return precondition
+
+
 # GMRES stops at ||1 - M sigma||_2 <= _GMRES_RTOL ||1||_2, and gives up
-# after _GMRES_MAXITER iterations: the L4 sphere takes 36, the L4 2:1:1
-# spheroid 54, about a dozen more per refinement level
+# after _GMRES_MAXITER iterations.  Right-preconditioned by the near-field P
+# (neighbours within 1.1 h_j, see _NEAR_RADIUS), the L3, L4 and L5 sphere
+# take 10, 11 and 14, the 2:1:1 spheroid 12, 16 and 24; by the diagonal
+# alone they took 20, 36, 52 and 40, 54, 72
 _GMRES_RTOL = 1e-14
 _GMRES_MAXITER = 200
 
 
-def _gmres(matvec, diagonal, b) -> tuple[np.ndarray, np.ndarray]:
+def _gmres(matvec, precondition, b) -> tuple[np.ndarray, np.ndarray]:
     """x with ||b - M x||_2 <= _GMRES_RTOL ||b||_2, and the Arnoldi matrix.
 
-    Full (unrestarted) GMRES from x = 0 on M D^-1 y = b, x = D^-1 y, with
-    D = diag(M) (Saad & Schultz 1986), reaching M only through
-    `matvec(x)` = M x and `diagonal` = diag(M).  Right preconditioning
-    leaves the residual that GMRES minimises equal to b - M x.  Arnoldi
-    applies classical Gram-Schmidt twice and builds the (k+1, k) Hessenberg
-    matrix Hbar = V_{k+1}^T M D^-1 V_k.  The Givens rotations that would reduce
-    it to triangular form give the least-squares residual, beta times the
-    product of their sines; once that meets the tolerance, y minimises
-    ||beta e_1 - Hbar y||.  Returns x and Hbar; raises SolverError on a
-    non-finite Krylov vector or when the tolerance is not met within
-    _GMRES_MAXITER iterations.
+    Full (unrestarted) GMRES from x = 0 on M P y = b, x = P y (Saad &
+    Schultz 1986), reaching M only through `matvec(x)` = M x and the
+    right preconditioner only through `precondition(x)` = P x.  Right
+    preconditioning leaves the residual that GMRES minimises equal to
+    b - M x.  Arnoldi applies classical Gram-Schmidt twice and builds the
+    (k+1, k) Hessenberg matrix Hbar = V_{k+1}^T M P V_k.  The Givens
+    rotations that would reduce it to triangular form give the
+    least-squares residual, beta times the product of their sines; once
+    that meets the tolerance, y minimises ||beta e_1 - Hbar y||.  Returns
+    x and Hbar; raises SolverError on a non-finite Krylov vector or when
+    the tolerance is not met within _GMRES_MAXITER iterations.
     """
     m = _GMRES_MAXITER
     beta = float(np.linalg.norm(b))
     # rows of V are written only as the iteration reaches them
     V = np.empty((m + 1, len(b)))
-    z = np.empty(len(b))
     H = np.zeros((m + 1, m))
     rotations, residual = [], beta
     np.divide(b, beta, out=V[0])
     for k in range(m):
-        V[k + 1] = matvec(np.divide(V[k], diagonal, out=z))
+        V[k + 1] = matvec(precondition(V[k]))
         w, Vk = V[k + 1], V[:k + 1]
         h = Vk @ w
         w -= h @ Vk
@@ -561,7 +654,7 @@ def _gmres(matvec, diagonal, b) -> tuple[np.ndarray, np.ndarray]:
         if residual <= _GMRES_RTOL * beta:
             hbar = H[:k + 2, :k + 1]
             y = np.linalg.lstsq(hbar, beta * np.eye(k + 2, 1)[:, 0], rcond=None)[0]
-            return (y @ Vk) / diagonal, hbar
+            return precondition(y @ Vk), hbar
         w /= H[k + 1, k]
     raise SolverError(
         f"GMRES did not reach relative residual {_GMRES_RTOL:.0e} in {m} iterations "
@@ -572,21 +665,23 @@ def _gmres(matvec, diagonal, b) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_equilibrium(mesh: TriMesh, quad_order: int = 6,
                       cond_limit: float = 1e12) -> EquilibriumSolution:
-    """Solve S sigma = 1 by diagonally preconditioned GMRES (`_gmres`).
+    """Solve S sigma = 1 by GMRES (`_gmres`), right-preconditioned by the
+    near-field approximate inverse P of `_near_preconditioner`.
 
     `cond_estimate` is sigma_max / sigma_min of GMRES's Hessenberg matrix,
-    a lower bound on the 2-norm condition number of the Jacobi-scaled
-    matrix M diag(M)^-1 that comes with the solve (first-kind
-    conditioning grows like 1/h).  Refuses to return results when it
-    exceeds cond_limit, or when GMRES does not converge; refine or coarsen
-    instead of trusting noise.  The collocation residual is checked on
-    every row by one matrix-vector product before the matrix is freed.
+    a lower bound on the 2-norm condition number of the preconditioned
+    matrix M P that comes with the solve.  Refuses to return results when
+    it exceeds cond_limit, or when GMRES does not converge; refine or
+    coarsen instead of trusting noise.  The collocation residual is
+    checked on every row by one matrix-vector product before the matrix
+    and P are freed.
     """
     M = assemble_single_layer(mesh, quad_order)
     matvec = _row_block_matvec(M)
-    sigma, hbar = _gmres(matvec, M.diagonal().copy(), np.ones(mesh.num_panels))
+    precondition = _near_preconditioner(M, mesh)
+    sigma, hbar = _gmres(matvec, precondition, np.ones(mesh.num_panels))
     residual = float(np.max(np.abs(matvec(sigma) - 1.0)))
-    del M, matvec
+    del M, matvec, precondition
     s = np.linalg.svd(hbar, compute_uv=False)
     cond = float(s[0] / s[-1])
     if cond > cond_limit:
@@ -710,7 +805,9 @@ def eval_fields_at_unit_scale(sol: EquilibriumSolution, X
         D2u[at] -= w3.sum(axis=1)[:, None, None] * np.eye(3)
 
     _each_chunk(fields, range(0, P, chunk), lanes)
-    return u / FOUR_PI, Du / FOUR_PI, D2u / FOUR_PI
+    for field in (u, Du, D2u):
+        np.divide(field, FOUR_PI, out=field)
+    return u, Du, D2u
 
 
 @np.errstate(over="ignore")  # a non-finite value is the caller's to report
@@ -720,7 +817,8 @@ def eval_fields(sol: EquilibriumSolution, X) -> tuple[np.ndarray, np.ndarray, np
     2^-2e, bitwise the fields at the mesh's own scale wherever those are
     representable."""
     u, Du, D2u = eval_fields_at_unit_scale(sol, X)
-    return u, np.ldexp(Du, -sol.mesh._exponent), np.ldexp(D2u, -2 * sol.mesh._exponent)
+    e = sol.mesh._exponent
+    return u, np.ldexp(Du, -e, out=Du), np.ldexp(D2u, -2 * e, out=D2u)
 
 
 def _point(x) -> np.ndarray:

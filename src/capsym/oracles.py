@@ -48,14 +48,15 @@ def ball_capacity(n: int, R: float) -> float:
     """Electrostatic capacity of the ball of radius R in R^n, n >= 3.
 
     Equals (n-2) omega_n R^(n-2); for n = 3 this is 4 pi R.  Raises
-    ArithmeticError when that underflows to 0 or is not finite.
+    ArithmeticError when that is not finite or below the normal range
+    (2^-1022), where a subnormal would have lost digits.
     """
     if n < 3:
         raise ValueError(f"capacity requires n >= 3, got {n}")
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
     cap = (n - 2) * unit_sphere_area(n) * R ** (n - 2)
-    if not 0.0 < cap < math.inf:
+    if not 2.0**-1022 <= cap < math.inf:
         raise ArithmeticError(f"ball capacity {cap} for n={n}, R={R} is beyond the float range")
     return cap
 
@@ -119,8 +120,9 @@ def ellipsoid_capacity(a: float, b: float, c: float) -> float:
     Cap(2^k axes) = 2^k Cap(axes) bitwise.  The scaled squares stay in the
     float range for axis ratios up to nearly 2^1022.  Reduces to 4 pi R
     for a = b = c = R.  Raises ArithmeticError when the capacity is beyond
-    the float range or the axis ratio is beyond that limit (a square
-    overflows or vanishes and R_F is 0 or infinite).
+    the float range, including below its normal range (2^-1022), or the
+    axis ratio is beyond that limit (a square overflows or vanishes and
+    R_F is 0 or infinite).
     """
     if min(a, b, c) <= 0:
         raise ValueError(f"semi-axes must be positive, got ({a}, {b}, {c})")
@@ -134,8 +136,9 @@ def ellipsoid_capacity(a: float, b: float, c: float) -> float:
     scaled = [math.ldexp(x, -e) for x in (a, b, c)]
     # x * x overflows to inf, where x ** 2 would raise OverflowError
     rf = float(elliprf(*(x * x for x in scaled)))
-    # 4 pi / R_F = m 2^k with 1/2 <= m < 1: the capacity m 2^(k+e) is finite iff k + e <= 1024
-    if not (0.0 < rf < math.inf and math.frexp(4.0 * math.pi / rf)[1] + e <= 1024):
+    # 4 pi / R_F = m 2^k with 1/2 <= m < 1: the capacity m 2^(k+e) is finite
+    # iff k + e <= 1024, and normal iff k + e >= -1021
+    if not (0.0 < rf < math.inf and -1021 <= math.frexp(4.0 * math.pi / rf)[1] + e <= 1024):
         raise ArithmeticError(
             f"semi-axes ({a}, {b}, {c}) or their capacity are beyond the float range")
     return math.ldexp(4.0 * math.pi / rf, e)

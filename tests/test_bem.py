@@ -1016,6 +1016,13 @@ KRYLOV_MESHES = {
 LEVEL2 = ["sphere-L2", "moved-spheroid-L2", "bumpy-L2"]
 
 
+def _dense_preconditioner(M, mesh):
+    """The solver's P as a dense matrix, from its action on each column of
+    the identity."""
+    precondition = bem._near_preconditioner(M, mesh)
+    return np.column_stack([precondition(e) for e in np.eye(mesh.num_panels)])
+
+
 class TestKrylovSolve:
     @pytest.mark.parametrize("name", list(KRYLOV_MESHES))
     def test_matches_frozen_lu(self, name):
@@ -1039,8 +1046,45 @@ class TestKrylovSolve:
         mesh = KRYLOV_MESHES[name]()
         sol = bem.solve_equilibrium(mesh, 6)
         M = bem.assemble_single_layer(mesh, 6)
-        kappa2 = np.linalg.cond(M / M.diagonal())
+        kappa2 = np.linalg.cond(M @ _dense_preconditioner(M, mesh))
         assert 0.5 * kappa2 <= sol.cond_estimate <= kappa2 * (1 + 1e-10)
+
+    @pytest.mark.parametrize("name", ["moved-spheroid-L2", "bumpy-L2"])
+    def test_preconditioner_rows_invert_near_blocks(self, name):
+        mesh = KRYLOV_MESHES[name]()
+        M = bem.assemble_single_layer(mesh, 6)
+        P = _dense_preconditioner(M, mesh)
+        cen, h = mesh.centroids, mesh.edge_lengths.max(axis=1)
+        dist = np.linalg.norm(cen[:, None] - cen[None], axis=2)
+        sizes = []
+        for i in range(mesh.num_panels):
+            # i first, then every other panel whose centroid lies within
+            # 1.1 times its own longest edge of c_i
+            others = np.flatnonzero(dist[i] < 1.1 * h)
+            near = np.concatenate(([i], others[others != i]))
+            row = np.linalg.inv(M[np.ix_(near, near)])[0]
+            assert np.abs(P[i, near] - row).max() <= 1e-12 * np.abs(row).max()
+            assert np.count_nonzero(P[i]) == len(near)
+            sizes.append(len(near))
+        # blocks beyond a panel and its three edge neighbours, of unequal sizes
+        assert min(sizes) >= 4 and max(sizes) > min(sizes)
+
+    # the level-4 sphere took 36 iterations preconditioned by the diagonal
+    @pytest.mark.parametrize("name", ["sphere-L3", "spheroid-L3", "sphere-L4", "spheroid-L4"])
+    def test_iterations_within_25(self, name, monkeypatch):
+        mesh = {**KRYLOV_MESHES, **FAR_MESHES}[name]()
+        gmres, iterations = bem._gmres, []
+
+        def counting(*args):
+            x, hbar = gmres(*args)
+            iterations.append(hbar.shape[1])
+            return x, hbar
+
+        monkeypatch.setattr(bem, "_gmres", counting)
+        bem.solve_equilibrium(mesh, 6)
+        assert len(iterations) == 1 and iterations[0] <= 25
+        if name == "sphere-L4":
+            assert iterations[0] < 36
 
     @pytest.mark.parametrize("name", list(KRYLOV_MESHES))
     def test_full_residual_covers_row_sample(self, name):
@@ -1065,6 +1109,18 @@ class TestKrylovSolve:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "2 iterations" in err[0]
+
+    def test_singular_near_block_raises(self, monkeypatch):
+        assemble = bem.assemble_single_layer
+
+        def with_zero_row(mesh, quad_order=6):
+            M = assemble(mesh, quad_order)
+            M[5] = 0.0
+            return M
+
+        monkeypatch.setattr(bem, "assemble_single_layer", with_zero_row)
+        with pytest.raises(bem.SolverError, match="singular near-field block"):
+            bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6)
 
     def test_nan_entry_raises(self, monkeypatch):
         assemble = bem.assemble_single_layer
@@ -1139,6 +1195,22 @@ class TestUnitDiscretisation:
         bem.eval_fields_at_unit_scale(sol, X)
         bem.eval_fields(sol, X)
         assert rules == [] and meshes == []
+
+    def test_one_pair_search_per_mesh(self, monkeypatch):
+        searches = []
+        near_pairs = bem._near_pairs
+        monkeypatch.setattr(bem, "_near_pairs",
+                            lambda *args: searches.append(args) or near_pairs(*args))
+        mesh = geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2)
+        M = bem.assemble_single_layer(mesh, 6)
+        sol = bem.solve_equilibrium(mesh, 6)
+        # the kept pairs feed the next assembly, at any quadrature order
+        assert np.array_equal(bem.assemble_single_layer(mesh, 6), M)
+        bem.solve_equilibrium(mesh, 3)
+        assert len(searches) == 1
+        assert np.array_equal(bem.solve_equilibrium(geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2),
+                                                     6).sigma, sol.sigma)
+        assert len(searches) == 2
 
     def test_memo_dies_with_its_mesh(self):
         sol = bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6)

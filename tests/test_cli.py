@@ -383,6 +383,7 @@ MALFORMED = [
     (["oracle", "--shape", "sphere", "1e-300", "--dim", "3"], cli.EXIT_SOLVER),
     (["oracle", "--shape", "ellipsoid", "1e300", "1e-10", "1e-10"], cli.EXIT_SOLVER),
     (["oracle", "--shape", "ellipsoid", "1e308", "1e308", "1e308"], cli.EXIT_SOLVER),
+    (["oracle", "--shape", "ellipsoid", "1e-320", "1e-320", "1e-320"], cli.EXIT_SOLVER),
     (["capacity", "--shape", "sphere", "1e200", "0"], cli.EXIT_MESH),
 ]
 

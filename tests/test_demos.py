@@ -76,4 +76,9 @@ def test_bench_matrix_rows(tmp_path):
         assert 0 < row["cap_rel_err"] < 0.02
     assert [r["verdict"] for r in rows if r["command"] == "verify"] == [True, False]
     for stages in runs["b"]["stages_s"].values():
-        assert {"import", "far", "near", "gmres", "eval_fields", "scan"} <= stages.keys()
+        assert {"import", "far", "near", "precondition", "gmres", "eval_fields",
+                "scan"} <= stages.keys()
+    solver = runs["b"]["solver"]
+    assert sorted(solver) == ["sphere L2", "spheroid L2"]
+    assert all(0 < s["gmres_iterations"] <= 25 and s["cond_estimate"] > 1
+               for s in solver.values())

@@ -180,6 +180,22 @@ def test_ellipsoid_capacity_beyond_the_float_range(axes):
     assert type(exc.value) is ArithmeticError
 
 
+# capacities below the normal range, which a subnormal would carry with
+# lost digits (4 pi 1e-320 came back 1.3e-5 relative off)
+@pytest.mark.parametrize("capacity", [lambda: oracles.ball_capacity(3, 1e-320),
+                                      lambda: oracles.ellipsoid_capacity(1e-320, 1e-320, 1e-320)],
+                         ids=["ball", "ellipsoid"])
+def test_subnormal_capacity_is_beyond_the_float_range(capacity):
+    with pytest.raises(ArithmeticError, match="float range") as exc:
+        capacity()
+    assert type(exc.value) is ArithmeticError
+
+
+def test_ellipsoid_capacity_keeps_its_bits_above_the_normal_range():
+    assert oracles.ellipsoid_capacity(1e-300, 1e-300, 1e-300) == 1.2566370614359174e-299
+    assert oracles.ellipsoid_capacity(2.0, 1.0, 1.0) == 16.527174043782797
+
+
 def test_ellipsoid_capacity_rejects_bad_axes():
     with pytest.raises(ValueError):
         oracles.ellipsoid_capacity(0.0, 1.0, 1.0)
