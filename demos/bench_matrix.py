@@ -9,8 +9,9 @@
 # of `capsym oracle`.  Each shape and level also gets the stage times of
 # `demos/stage_times.py` (mesh, validate, far, near and diagonal assembly,
 # the preconditioner's setup, GMRES, the residual matvec, `eval_fields`,
-# the scan and the import) and its GMRES iteration count and condition
-# estimate, run in its own fresh process at the same number of samples;
+# the scan and the import) and its GMRES iteration count, condition
+# estimate and far-field rule order, stored under `solver`, run in its own
+# fresh process at the same number of samples;
 # it times a sphere of radius 1.3, whose stages cost what the unit
 # sphere's do.
 #
@@ -39,6 +40,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 STAGE = re.compile(r"^  (\w+)\s+(-?[0-9.]+) s$")
 SOLVER = re.compile(r"^  GMRES iterations (\d+); condition estimate (\S+)$", re.M)
+FAR_ORDER = re.compile(r"^  far-field rule order (\d+);", re.M)
 SHAPES = {"sphere": ["sphere", "1"], "spheroid": ["ellipsoid", "2", "1", "1"]}
 
 
@@ -65,7 +67,8 @@ def capsym(args, env) -> dict:
 
 
 def stages(shape: str, level: int, samples: int, env) -> tuple[dict, dict]:
-    """Stage times, and the GMRES iteration count and condition estimate."""
+    """Stage times, and the GMRES iteration count, condition estimate and
+    far-field rule order."""
     argv = [sys.executable, str(HERE / "stage_times.py"), str(level), "--samples", str(samples)]
     run = run_fresh(argv + (["--spheroid"] if shape == "spheroid" else []), env)
     if run["exit"] != 0:
@@ -73,7 +76,8 @@ def stages(shape: str, level: int, samples: int, env) -> tuple[dict, dict]:
     out = run["stdout"]
     iterations, cond = SOLVER.search(out).groups()
     return ({m[1]: float(m[2]) for m in map(STAGE.match, out.splitlines()) if m},
-            {"gmres_iterations": int(iterations), "cond_estimate": float(cond)})
+            {"gmres_iterations": int(iterations), "cond_estimate": float(cond),
+             "far_order": int(FAR_ORDER.search(out)[1])})
 
 
 def measure(args) -> dict:

@@ -12,10 +12,14 @@
 # (`bem.eval_fields_at_unit_scale`, the same fields left at the mesh's unit
 # scale, then `functionals._scan`: the v-transform, Newton deficit and pbv
 # residual, so the difference of the two rows is the scan's own cost), with
-# `time.perf_counter`.  The far-field stage includes building the mesh's
-# unit-scale copy and its panel rule (`bem._unit_discretisation`), which the
-# near field, the diagonal and both evaluations then read without
-# rebuilding either.  It also prints the
+# `time.perf_counter`.  The far field runs on the plain rule of order
+# min(q, 3) (`bem._far_order`, q the `--quad-order`), the near field and
+# the evaluations on rules of order q.  The far-field stage includes
+# building the mesh's unit-scale copy (`bem._unit_copy`) and the far
+# rule, which the near field and the diagonal then read without
+# rebuilding either; the `eval_fields` stage includes building the plain
+# rule of order q, which the scan then reads.  It also prints the
+# orders of the far field's and the evaluations' rules, the
 # number of lanes the assembly's far field, the matrix-vector products and
 # the `eval_fields` call ran on (one per usable core, but no more than
 # chunks, and for the products only from a matrix size up; read from the
@@ -133,6 +137,10 @@ def main() -> None:
           f"{eval_lanes}; {tested} of {args.samples} evaluation points needed the "
           "inside test")
     print(f"  GMRES iterations {hbar.shape[1]}; condition estimate {sol.cond_estimate:.3g}")
+    # a checkout measured through `bench_matrix.py --src` from before the far
+    # field had its own order ran it at the quadrature order
+    far_order = bem._far_order(order) if hasattr(bem, "_far_order") else order
+    print(f"  far-field rule order {far_order}; evaluation rule order {order}")
     for name, t in times.items():
         print(f"  {name:<12} {t:8.3f} s")
     print(f"  capacity     {sol.capacity:.17g}")

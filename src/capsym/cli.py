@@ -274,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mesh", help="OFF mesh file")
 
     def add_quad_order(p):
-        p.add_argument("--quad-order", type=int, default=6, choices=(1, 3, 6, 12))
+        p.add_argument("--quad-order", type=int, default=6, choices=(1, 3, 6, 12),
+                       help="order q of the triangle rule of the near-field matrix entries "
+                            "and of every off-surface field; the far entries use "
+                            "min(q, 3) (default %(default)s)")
 
     p = command("capacity", cmd_capacity, "solve and report capacity three ways")
     add_io(p)

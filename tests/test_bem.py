@@ -363,11 +363,11 @@ def _frozen_panel_quadrature(mesh, order, subdivide=False):
 def _frozen_single_layer_rows(mesh, rows, order):
     # the row kernel as it was before its loops were made cache-sized: the
     # far field by one (rows, F*Q, 3) difference block per 5e6 distances,
-    # the near field over all pairs at once
+    # at the assembly's far order, the near field over all pairs at once
     rows = np.asarray(rows)
     F = mesh.num_panels
     cen = mesh.centroids
-    pts, wts = _frozen_panel_quadrature(mesh, order)
+    pts, wts = _frozen_panel_quadrature(mesh, bem._far_order(order))
     Q = pts.shape[1]
     pts, wts = pts.reshape(-1, 3), wts.reshape(-1)
 
@@ -508,9 +508,9 @@ class TestNearPairs:
 # against the difference form it replaced
 
 
-def _difference_far_rows(mesh, rows, order=6):
-    """Plain-rule entries of `rows`, each distance formed from coordinate
-    differences at the mesh's own scale."""
+def _difference_far_rows(mesh, rows, order):
+    """Plain-rule entries of `rows` at `order`, each distance formed from
+    coordinate differences at the mesh's own scale."""
     pts, wts = bem.panel_quadrature(mesh, order)
     F, Q = wts.shape
     y, c = pts.reshape(-1, 3), mesh.centroids[rows]
@@ -552,7 +552,7 @@ class TestFarFieldProduct:
         kept = 0
         for start in range(0, F, 64):
             rows = np.arange(start, min(F, start + 64))
-            R0 = _difference_far_rows(mesh, rows)
+            R0 = _difference_far_rows(mesh, rows, bem._far_order(6))
             # the entries that neither the near field nor the diagonal overwrite
             far = np.linalg.norm(cen[rows, None] - cen[None], axis=2) >= 2.0 * max_edge
             kept += np.count_nonzero(far)
@@ -598,6 +598,86 @@ class TestFarFieldProduct:
                                  text=True, check=True, timeout=300)
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+
+# the far field on the rule of `bem._far_order`, against a near-exact
+# reference and against the quadrature order's own rule
+
+FAR_ORDER_MESHES = {
+    "sphere-L3": (lambda: geo.make_sphere_mesh(1.0, 3), 3),
+    "moved-spheroid-L3": (_moved_spheroid_l3, 3),
+    "bumpy-L2": (lambda: geo.make_bumpy_sphere_mesh(1.0, 2), 2),
+}
+
+
+class TestFarOrder:
+    @pytest.mark.parametrize("name", list(FAR_ORDER_MESHES))
+    def test_far_entries_near_exact(self, name):
+        mesh = FAR_ORDER_MESHES[name][0]()
+        M = bem.assemble_single_layer(mesh, 6)
+        cen, F = mesh.centroids, mesh.num_panels
+        max_edge = mesh.edge_lengths.max(axis=1)
+        # near-exact: the order-12 rule on each panel's 4:1 split
+        pts, wts = bem.panel_quadrature(mesh, 12, subdivide=True)
+        y, w = pts.reshape(-1, 3).T, wts.reshape(-1)
+        worst = 0.0
+        for start in range(0, F, 64):
+            rows = np.arange(start, min(F, start + 64))
+            c = cen[rows]
+            d = sum(np.square(c[:, k:k + 1] - y[k]) for k in range(3))
+            ref = (w / np.sqrt(d)).reshape(len(rows), F, -1).sum(axis=2) / FOUR_PI
+            # the entries that neither the near field nor the diagonal overwrite
+            far = np.linalg.norm(cen[rows, None] - cen[None], axis=2) >= 2.0 * max_edge
+            worst = max(worst, float(np.max(np.abs(M[rows][far] - ref[far]) / ref[far])))
+        # measured 3.3e-4 (sphere), 3.5e-4 (moved spheroid) and 3.2e-4
+        # (bumpy sphere), each at a pair near 2 h_j
+        assert worst <= 8e-4
+
+    @pytest.mark.parametrize("name", list(FAR_ORDER_MESHES))
+    def test_far_order_moves_no_verdict_number(self, name, monkeypatch):
+        make, level = FAR_ORDER_MESHES[name]
+        runs = []
+        for far in (bem._far_order, lambda quad_order: quad_order):
+            monkeypatch.setattr(bem, "_far_order", far)
+            sol = bem.solve_equilibrium(make(), 6)
+            rep = fn.verify_solution(sol, level=level)
+            runs.append((sol.capacity, rep.f1 / rep.f1_scale, rep.newton_sup_deficit))
+        (cap, f1, newton), (cap6, f1_6, newton6) = runs
+        assert abs(cap - cap6) <= 3e-6 * cap6
+        assert abs(f1 - f1_6) <= 0.01 * abs(f1_6)
+        assert abs(newton - newton6) <= 0.03 * newton6
+
+
+class TestMatrixMemory:
+    """A dense matrix larger than physical memory, or one whose allocation
+    fails, is a SolverError naming both sizes, before any entry is formed."""
+
+    def test_matrix_beyond_physical_memory(self, monkeypatch):
+        mesh = geo.make_sphere_mesh(1.0, 2)
+        need = 8 * mesh.num_panels**2
+        monkeypatch.setattr(bem, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(bem, "_far_entries", lambda *args: pytest.fail("entries formed"))
+        with pytest.raises(bem.SolverError, match=r"320 x 320 matrix needs 0\.000763 GiB, "
+                                                  r"physical memory is 0\.000763 GiB"):
+            bem.solve_equilibrium(mesh, 6)
+        monkeypatch.undo()
+        monkeypatch.setattr(bem, "_physical_memory", lambda: need)
+        assert bem.assemble_single_layer(mesh, 6).shape == (320, 320)
+
+    def test_failed_allocation(self, monkeypatch):
+        mesh = geo.make_sphere_mesh(1.0, 2)
+        empty = np.empty
+
+        def failing(shape, *args, **kwargs):
+            if shape == (320, 320):
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(bem, "_physical_memory", lambda: None)
+        monkeypatch.setattr(np, "empty", failing)
+        with pytest.raises(bem.SolverError, match="cannot allocate: the dense 320 x 320 "
+                                                  "matrix needs .* physical memory is unknown"):
+            bem.assemble_single_layer(mesh, 6)
 
 
 class TestCacheSizedKernels:
@@ -729,9 +809,9 @@ class TestLanes:
 
     def test_panel_chunks_equal_at_one_and_three_lanes(self, lane_grids, monkeypatch):
         mesh = _moved_scaled_spheroid()
-        F = mesh.num_panels
+        F, Q = mesh.num_panels, len(bem.triangle_rule(bem._far_order(6))[1])
         # one panel's plane of every row fills the budget, as from level 5 up
-        monkeypatch.setattr(bem, "_CHUNK", 6 * F)
+        monkeypatch.setattr(bem, "_CHUNK", Q * F)
         runs = {}
         for cores in (1, 3):
             monkeypatch.setattr(bem, "_usable_cores", lambda cores=cores: cores)
@@ -1141,9 +1221,10 @@ class TestKrylovSolve:
 
 class TestUnitDiscretisation:
     """The assembly and every evaluation read one copy of the mesh times
-    2^-e and one plain panel rule on it, so the matrix and sigma are
-    bitwise covariant under a power-of-two scale wherever they are normal,
-    and no evaluation builds a mesh or a rule."""
+    2^-e and one plain panel rule of each order on it, so the matrix and
+    sigma are bitwise covariant under a power-of-two scale wherever they
+    are normal, and no evaluation builds a mesh or a rule that one before
+    it built."""
 
     @pytest.fixture(scope="class")
     def references(self):
@@ -1173,7 +1254,7 @@ class TestUnitDiscretisation:
         rule, post_init = bem.panel_quadrature, geo.TriMesh.__post_init__
 
         def counting_rule(mesh, order, subdivide=False):
-            rules.append(subdivide)
+            rules.append((order, subdivide))
             return rule(mesh, order, subdivide)
 
         def counting_post_init(mesh):
@@ -1186,15 +1267,19 @@ class TestUnitDiscretisation:
         for command in ("verify", "capacity"):
             rules.clear()
             assert cli.main([command, "--shape", "sphere", "1.3", "2", "--output", out]) == 0
-            # the plain rule, then the near field's subdivided one
-            assert rules == [False, True]
+            # the far field's plain rule, the near field's subdivided one,
+            # then the evaluations' plain rule of the quadrature order
+            assert rules == [(bem._far_order(6), False), (6, True), (6, False)]
         sol = bem.solve_equilibrium(geo.make_sphere_mesh(1.3, 2), 6)
         X = fn.sample_exterior_points(sol.mesh, 8, 1)
         rules.clear()
         meshes.clear()
+        # the first evaluation builds the plain rule of the quadrature
+        # order, which the far field's lower order left unbuilt
         bem.eval_fields_at_unit_scale(sol, X)
+        assert rules == [(6, False)]
         bem.eval_fields(sol, X)
-        assert rules == [] and meshes == []
+        assert rules == [(6, False)] and meshes == []
 
     def test_one_pair_search_per_mesh(self, monkeypatch):
         searches = []
@@ -1223,6 +1308,9 @@ class TestUnitDiscretisation:
         sols = [bem.solve_equilibrium(geo.make_sphere_mesh(1.0, 2), 6),
                 bem.solve_equilibrium(geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 2), 6)]
         X = fn.sample_exterior_points(sols[1].mesh, 4, 1)
+        # each mesh's first evaluation builds its rule of the quadrature order
+        for sol in sols:
+            bem.eval_fields(sol, X)
         rules = []
         rule = bem.panel_quadrature
         monkeypatch.setattr(bem, "panel_quadrature",

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capsym import cli, functionals as fn, geometry as geo, identity_lab, oracles
+from capsym import bem, cli, functionals as fn, geometry as geo, identity_lab, oracles
 
 
 def run(argv):
@@ -436,6 +436,34 @@ class TestMalformedInput:
         assert [row.split()[0] for row in rows] == ["n=3", "n=4", "n=5", "n=6"]
         for row in rows:
             assert "-> 0 FAIL;" in row and row.endswith("FAIL")
+
+
+class TestMatrixBeyondMemory:
+    """A dense matrix larger than physical memory ends in one error line and
+    exit 2, before it is allocated."""
+
+    @pytest.mark.parametrize("command", ["capacity", "verify"])
+    def test_patched_memory_is_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(bem, "_physical_memory", lambda: 2**19)
+        out = tmp_path / "out.json"
+        assert run([command, "--shape", "sphere", "1", "2", "--output", str(out)]) == \
+            cli.EXIT_SOLVER
+        assert capsys.readouterr().err.splitlines() == [
+            "error: solver error: the dense 320 x 320 matrix needs 0.000763 GiB, "
+            "physical memory is 0.000488 GiB; use a coarser level"]
+        assert not out.exists()
+
+    def test_level_7_is_2(self):
+        # 327,680 panels: an 800 GiB matrix
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-m", "capsym.cli", "capacity", "--shape",
+                               "sphere", "1", "7"], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_SOLVER
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: solver error: the dense 327680 x 327680 matrix needs "
+                               "800 GiB, physical memory is ")
 
 
 class TestExtremeRadius:

@@ -82,3 +82,5 @@ def test_bench_matrix_rows(tmp_path):
     assert sorted(solver) == ["sphere L2", "spheroid L2"]
     assert all(0 < s["gmres_iterations"] <= 25 and s["cond_estimate"] > 1
                for s in solver.values())
+    # the default quadrature order 6 puts the far field on the order-3 rule
+    assert all(s["far_order"] == 3 for s in solver.values())
