@@ -7,7 +7,8 @@
 # child's own `ru_maxrss`, from `os.wait4`), its exit code, the capacity it
 # printed and that capacity's relative error against the closed-form value
 # of `capsym oracle`.  Each shape and level also gets the stage times of
-# `demos/stage_times.py` (mesh, validate, far, near and diagonal assembly,
+# `demos/stage_times.py` (mesh, validate, far and near assembly, the near
+# stage with the diagonal, which an older `--src` times apart,
 # the preconditioner's setup, GMRES, the residual matvec, `eval_fields`,
 # the scan and the import) and its GMRES iteration count, condition
 # estimate and far-field rule order, stored under `solver`, run in its own

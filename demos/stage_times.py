@@ -2,9 +2,10 @@
 #
 # Times `import capsym.cli` in a fresh interpreter (the start-up every
 # `capsym` command pays; `import capsym` alone loads nothing), the stages
-# of one `bem.solve_equilibrium` call (far-field, near-field and
-# self-integral parts of the assembly, the setup of the near-field
-# preconditioner and the GMRES solve, each timed by wrapping its function
+# of one `bem.solve_equilibrium` call (the far-field and near-field parts
+# of the assembly, the near field with the diagonal, both exact integrals
+# over the flat panels, the setup of the near-field preconditioner and
+# the GMRES solve, each timed by wrapping its function
 # in `bem` for the length of the call, the residual check's matrix-vector
 # product after GMRES, and the rest of the call: its validation and the
 # condition estimate), one `bem.eval_fields` call on the sample points
@@ -13,12 +14,13 @@
 # scale, then `functionals._scan`: the v-transform, Newton deficit and pbv
 # residual, so the difference of the two rows is the scan's own cost), with
 # `time.perf_counter`.  The far field runs on the plain rule of order
-# min(q, 3) (`bem._far_order`, q the `--quad-order`), the near field and
-# the evaluations on rules of order q.  The far-field stage includes
-# building the mesh's unit-scale copy (`bem._unit_copy`) and the far
-# rule, which the near field and the diagonal then read without
-# rebuilding either; the `eval_fields` stage includes building the plain
-# rule of order q, which the scan then reads.  It also prints the
+# min(q, 3) (`bem._far_order`, q the `--quad-order`), the evaluations on
+# the rule of order q.  The far-field stage includes building the mesh's
+# unit-scale copy (`bem._unit_copy`) and the far rule, which the near
+# field then reads without rebuilding it; the `eval_fields` stage
+# includes building the plain rule of order q, which the scan then reads.
+# A checkout measured through `bench_matrix.py --src` from before the
+# diagonal folded into the near field also gets its `diagonal` stage.  It also prints the
 # orders of the far field's and the evaluations' rules, the
 # number of lanes the assembly's far field, the matrix-vector products and
 # the `eval_fields` call ran on (one per usable core, but no more than
@@ -78,7 +80,7 @@ def main() -> None:
 
     # one real solve, its stages timed through wrappers around their functions;
     # a checkout measured through `bench_matrix.py --src` that lacks one of
-    # them gets no line for it
+    # them gets no line for it, as this one lacks the diagonal's own stage
     stages = {"far": "_far_entries", "near": "_near_entries", "diagonal": "_self_entries",
               "precondition": "_near_preconditioner", "gmres": "_gmres"}
     stages = {name: attr for name, attr in stages.items() if hasattr(bem, attr)}
@@ -123,7 +125,7 @@ def main() -> None:
         bem._each_chunk, bem._row_block_matvec = each_chunk, row_block_matvec
     times["rest"] = times.pop("solve") - sum(times[name] for name in stages) \
         - times["residual"]
-    times["assembly"] = times["far"] + times["near"] + times["diagonal"]
+    times["assembly"] = sum(times.get(name, 0.0) for name in ("far", "near", "diagonal"))
     hbar = results["gmres"][1]
 
     stage("scan", lambda: fn._scan(*bem.eval_fields_at_unit_scale(sol, X)))

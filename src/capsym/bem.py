@@ -23,29 +23,28 @@ matrix entry and field is scaled back to the mesh's own scale by
 wherever that neither overflows nor underflows, and finite at any radius
 where the result is representable.
 
-`assemble_single_layer` builds the whole square matrix: diagonal
-entries by the exact integral of 1/r over a planar triangle from its
-centroid, near-diagonal entries by the panel rule of the quadrature
-order on the four sub-triangles of each panel's edge-midpoint split
-(`geometry._split4`, which also builds the icosphere), every other entry
-by the plain panel rule of order `_far_order`, min(order, 3), whose
-squared distances come from one k = 5 matrix product per block,
-|c|^2 + |y|^2 - 2 c.y about the unit copy's centre (`_far_entries`).
-Field evaluations keep the quadrature order's own rule.  The near pairs
-are found on a uniform grid of cubes whose side is twice the longest
-edge (`_near_pairs`): a pair can only join centroids in neighbouring
-cubes, and sorting the centroids by cube makes each column of three
-cubes one contiguous run.  Only numpy is imported; scipy is not needed
-to solve or evaluate.  One batched `eval_fields_at_unit_scale` gives u,
-Du and D2u off the surface at the unit scale; `eval_fields` is the same
-fields scaled back, and every other evaluation goes through it.
+`assemble_single_layer` builds the whole square matrix: the diagonal
+and every entry whose centroid separation is below twice T_j's longest
+edge by the exact integral of 1/r over the flat panel
+(`_inv_r_integrals`), every other entry by the plain panel rule of order
+`_far_order`, min(order, 3), whose squared distances come from one k = 5
+matrix product per block, |c|^2 + |y|^2 - 2 c.y about the unit copy's
+centre (`_far_entries`).  Field evaluations keep the quadrature order's
+own rule.  The near pairs are found on a uniform grid of cubes whose side
+is twice the longest edge (`_near_pairs`): a pair can only join centroids
+in neighbouring cubes, and sorting the centroids by cube makes each
+column of three cubes one contiguous run.  Only numpy is imported; scipy
+is not needed to solve or evaluate.  One batched
+`eval_fields_at_unit_scale` gives u, Du and D2u off the surface at the
+unit scale; `eval_fields` is the same fields scaled back, and every other
+evaluation goes through it.
 The far field's column chunks, the field evaluator's point chunks and, on
 matrices large enough to pay for it, the row blocks of GMRES's
 matrix-vector products run on one lane per usable core (`_each_chunk`);
 no matrix entry and no product depends on the number of lanes, and no
-point's fields on it or on the batch the point came in.  Lanes nest with
-threaded BLAS, so callers should run OpenBLAS on one thread, as the
-`capsym` command does.
+point's fields on it or on the batch the point came in.  The row blocks
+run on lanes only where OPENBLAS_NUM_THREADS reads 1, as the `capsym`
+command sets it; otherwise BLAS's own threads run one product.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MeshError, TriMesh, _split4, _unit_icosphere, require_valid
+from .geometry import TriMesh, _unit_icosphere, require_valid
 
 FOUR_PI = 4.0 * math.pi
 
@@ -198,49 +197,82 @@ def _dot(a, b) -> np.ndarray:
     return np.einsum("...k,...k->...", a, b)
 
 
+def _panel_frames(mesh: TriMesh) -> np.ndarray:
+    """Each panel's frame at the mesh's unit scale, as 34 planes (34, F),
+    from the mesh's cached geometry: for each coordinate c, rows 10c to
+    10c + 9 hold the start corners of edges 0, 1 and 2, their unit tangents
+    and outward unit normals (tangent x normal), and the panel's unit
+    normal; rows 30 to 32 hold the edge lengths and row 33 twice the area.
+    Edge k is `TriMesh._unit_edges`' edge k, from corner k + 1 to corner
+    k + 2."""
+    lengths = np.linalg.norm(mesh._unit_edges, axis=2)
+    t, n = mesh._unit_edges / lengths[:, :, None], mesh.normals
+    corners = np.ldexp(mesh.vertices, -mesh._exponent)[mesh.triangles[:, [1, 2, 0]]]
+    vectors = np.concatenate([corners, t, np.cross(t, n[:, None]), n[:, None]], axis=1)
+    return np.concatenate([vectors.transpose(2, 1, 0).reshape(30, -1), lengths.T,
+                           2.0 * mesh._unit_areas[None]])
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # masked where x lies on an edge's line
+def _inv_r_integrals(x, frames) -> np.ndarray:
+    """Exact integral of 1/|x - y| over each flat panel: x (3, P) the
+    points as coordinate planes, frames (34, P) the panels' frames of
+    `_panel_frames`, one per point.
+
+    Wilton, Rao, Glisson, Schaubert, Al-Bundak & Butler (IEEE Trans.
+    Antennas Propag. 32, 1984): with h the distance of x from the panel's
+    plane and, for each edge k, t0 the signed distance of x's projection
+    from the edge's line (positive inside), R0^2 = t0^2 + h^2 and s-, s+
+    the coordinates of the edge's ends along it from that projection,
+
+        int = sum_k t0 (asinh(s+/R0) - asinh(s-/R0)) - h Omega,
+
+    where asinh(s+/R0) - asinh(s-/R0) = ln((R+ + s+)/(R- + s-)), R the
+    distances to the ends, whose R + s cancels where s < 0 and the odd
+    asinh does not, and Omega is the solid angle the panel subtends at x
+    (Van Oosterom & Strackee, IEEE Trans. Biomed. Eng. 30, 1983), the sum
+    of the edges' angle terms.  An edge whose line passes through x
+    (R0 = 0) adds nothing, so a point in the plane of a coplanar
+    neighbour, on an edge's extension or straight above a corner gets a
+    finite value.
+    """
+    vectors = frames[:30].reshape(3, 10, -1)
+    lengths, area2 = frames[30:33], frames[33]
+    # the start corner of each edge minus x, (coordinate, edge, P)
+    d = np.subtract(vectors[:, 0:3], x[:, None], order="C")
+    h = np.abs((d[:, 0] * vectors[:, 9]).sum(axis=0))
+    s, t0 = (d * vectors[:, 3:6]).sum(axis=0), (d * vectors[:, 6:9]).sum(axis=0)
+    r0 = np.sqrt(t0 * t0 + h * h)
+    log_term = np.where(r0 == 0, 0.0, t0 * (np.arcsinh((s + lengths) / r0) - np.arcsinh(s / r0)))
+    # the distances r to the corners, and d_k . d_k+1 by the law of cosines
+    # on edge k
+    r2 = s * s + r0 * r0
+    r = np.sqrt(r2)
+    dots = 0.5 * (r2 + r2[[1, 2, 0]] - lengths * lengths)
+    omega = 2.0 * np.arctan2(area2 * h, r.prod(axis=0) + (dots * r[[2, 0, 1]]).sum(axis=0))
+    return log_term.sum(axis=0) - h * omega
+
+
 def self_integral_inv_r(p0, p1, p2):
     """Exact integral of 1/|c - y| over the planar triangle (p0, p1, p2),
     with c its centroid; stacked corners (..., 3) give one per triangle.
 
-    Edge decomposition: for each edge the sub-integral in polar
-    coordinates about c reduces to d * log((s2 + r2)/(s1 + r1)), d the
-    in-plane distance from c to the edge line and s the arc-length
-    coordinate along the edge.
+    `_inv_r_integrals` at the centroid, formed on the triangles times 2^-e,
+    e the binary exponent of their largest coordinate, and scaled back by
+    2^e.  Raises MeshError on a triangle of zero area.
     """
-    p = [np.asarray(q, dtype=float) for q in (p0, p1, p2)]
-    c = (p[0] + p[1] + p[2]) / 3.0
-    total = 0.0
-    for k in range(3):
-        a, b = p[k], p[(k + 1) % 3]
-        t = b - a
-        lt = _norm(t)
-        if np.any(lt == 0):
-            raise MeshError("degenerate triangle in self-integral")
-        t = t / lt[..., None]
-        s1, r1 = _dot(a - c, t), _norm(a - c)
-        s2, r2 = _dot(b - c, t), _norm(b - c)
-        d = _norm(c - (a + _dot(c - a, t)[..., None] * t))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = total + np.where(d < 1e-300, 0.0, d * np.log((s2 + r2) / (s1 + r1)))
-    return float(total) if np.ndim(total) == 0 else total
+    p = np.stack(np.broadcast_arrays(p0, p1, p2), axis=-2).astype(float)
+    mesh = TriMesh(p.reshape(-1, 3), np.arange(p.size // 3).reshape(-1, 3))
+    e = mesh._exponent
+    total = np.ldexp(_inv_r_integrals(np.ldexp(mesh.centroids, -e).T, _panel_frames(mesh)), e)
+    return float(total[0]) if p.ndim == 2 else total.reshape(p.shape[:-2])
 
 
-def panel_quadrature(mesh: TriMesh, order: int, subdivide: bool = False
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points (F, Q, 3) and weights (F, Q) including areas.
-
-    With subdivide=True the rule is applied on each of the four sub-triangles
-    of `_split4`, in its order, each weighted by a quarter of its parent's
-    area (Q becomes 4x larger).
-    """
+def panel_quadrature(mesh: TriMesh, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physical quadrature points (F, Q, 3) and weights (F, Q) including areas."""
     bary, w = triangle_rule(order)
-    corners, areas = mesh.vertices[mesh.triangles], mesh.areas
-    if subdivide:
-        mid, sub = _split4(mesh.vertices, mesh.triangles)
-        corners, areas = np.concatenate([mesh.vertices, mid])[sub], np.repeat(areas / 4.0, 4)
-    F = mesh.num_panels
-    pts = np.einsum("qk,fkd->fqd", bary, corners).reshape(F, -1, 3)
-    return pts, np.outer(areas, w).reshape(F, -1)
+    pts = np.einsum("qk,fkd->fqd", bary, mesh.vertices[mesh.triangles])
+    return pts, np.outer(mesh.areas, w)
 
 
 @dataclass(eq=False)
@@ -362,10 +394,11 @@ def _far_entries(out, mesh: TriMesh, order: int) -> None:
     _each_chunk(chunk, range(0, F, cols), lanes)
 
 
-def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs (p, q) with |points[p] - points[q]| <= radius, in no
-    particular order: the pair set of scipy's `cKDTree.sparse_distance_matrix`
-    of the points with themselves, from a uniform grid of cubes.
+    particular order, and those separations: the pair set of scipy's
+    `cKDTree.sparse_distance_matrix` of the points with themselves, from a
+    uniform grid of cubes.
 
     The points fall into cubes of side radius, enlarged by 2^-20 so that
     rounding in the cube coordinates (below 2^-21 of a cube while the
@@ -379,7 +412,9 @@ def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
     so a column of three cubes along z is one contiguous run: each point
     finds its 27 neighbouring cubes as 9 `searchsorted` ranges, and the
     candidates of each of the 9 column offsets are filtered by distance
-    before the next offset is searched.
+    before the next offset is searched.  Each separation is the square
+    root of (dx^2 + dy^2) + dz^2, summed in the order of `np.linalg.norm`
+    of the difference.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -397,7 +432,7 @@ def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
     # coordinate planes in key order
     x, y, z = pts[order].T.copy()
     r2 = radius * radius
-    found_p, found_q = [], []
+    found_p, found_q, found_d = [], [], []
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             mid = key + (dx * ny + dy) * nz
@@ -412,7 +447,8 @@ def _near_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
             near = d <= r2
             found_p.append(order[p[near]])
             found_q.append(order[at[near]])
-    return np.concatenate(found_p), np.concatenate(found_q)
+            found_d.append(np.sqrt(d[near]))
+    return np.concatenate(found_p), np.concatenate(found_q), np.concatenate(found_d)
 
 
 def _near_field(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,54 +456,38 @@ def _near_field(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the unit copy, searched once per mesh and kept in its `_UnitCopy`.
 
     The candidates are the pairs of centroids within twice the mesh's
-    longest edge, found by `_near_pairs` on a grid of cubes of that side;
-    of these, a pair (i, j) is near when its separation is below twice the
-    longest edge of its own panel T_j.  Read by the assembly's near field
-    and by the preconditioner.
+    longest edge, with their separations, found by `_near_pairs` on a grid
+    of cubes of that side; of these, a pair (i, j) is near when its
+    separation is below twice the longest edge of its own panel T_j.  Read
+    by the assembly's near field and by the preconditioner.
     """
     copy = _unit_copy(mesh)
     if copy.near is None:
-        cen = copy.unit.centroids
         max_edge = copy.unit.edge_lengths.max(axis=1)
-        i, j = _near_pairs(cen, 2.0 * float(max_edge.max()))
-        d = np.linalg.norm(cen[i] - cen[j], axis=1)
+        i, j, d = _near_pairs(copy.unit.centroids, 2.0 * float(max_edge.max()))
         keep = (i != j) & (d < 2.0 * max_edge[j])
         copy.near = (i[keep], j[keep], d[keep])
     return copy.near
 
 
-def _near_entries(out, mesh: TriMesh, order: int) -> None:
-    """Overwrite the near-diagonal entries of `out` by one level of 4:1
-    subdivision, in chunks of the pairs of `_near_field`.
+def _near_entries(out, mesh: TriMesh) -> None:
+    """Overwrite the diagonal and the near pairs of `_near_field` by the
+    exact integral over each flat panel (`_inv_r_integrals`), formed on the
+    mesh's unit copy (`_unit_copy`) and scaled back by 2^e.
 
-    The subdivided rule runs on the mesh's unit copy (`_unit_copy`), and
-    each entry is scaled back by 2^e.
+    The pairs run in chunks of the _CHUNK budget; each chunk's panel frames
+    are gathered into the one buffer, which stays in cache.
     """
     unit = _unit_copy(mesh).unit
-    cen = unit.centroids
-    i, j, _ = _near_field(mesh)
-    spts, swts = panel_quadrature(unit, order, subdivide=True)
-    # coordinate planes (F, 4Q) of the subdivided rule's points
-    planes = np.moveaxis(spts, -1, 0).copy()
-    chunk = _chunk_len(spts[0].size)
-    for start in range(0, len(i), chunk):
-        ic, jc = i[start:start + chunk], j[start:start + chunk]
-        c = cen[ic]
-        # |c - y|^2 summed as (x^2 + z^2) + y^2, the order of _norm's
-        # einsum for a 3-vector, so the entries keep its bits
-        d = np.square(c[:, 0:1] - planes[0][jc])
-        d += np.square(c[:, 2:3] - planes[2][jc])
-        d += np.square(c[:, 1:2] - planes[1][jc])
-        np.sqrt(d, out=d)
-        out[ic, jc] = np.ldexp((swts[jc] / d).sum(axis=1) / FOUR_PI, mesh._exponent)
-
-
-def _self_entries(out, mesh: TriMesh) -> None:
-    """Overwrite the diagonal of `out` by the exact self-integral, formed on
-    the mesh's unit copy (`_unit_copy`) and scaled back by 2^e."""
-    # the first, second and third corners (3, F, 3) of the unit copy's panels
-    p = _unit_copy(mesh).unit.vertices[mesh.triangles.T]
-    np.fill_diagonal(out, np.ldexp(self_integral_inv_r(*p), mesh._exponent) / FOUR_PI)
+    # the diagonal, then the near pairs
+    i, j = (np.concatenate([np.arange(mesh.num_panels), k]) for k in _near_field(mesh)[:2])
+    frames, points = _panel_frames(unit), np.ascontiguousarray(unit.centroids.T)
+    per = _chunk_len(len(frames))
+    buffer = np.empty((len(frames), per))
+    for start in range(0, len(i), per):
+        ic, jc = i[start:start + per], j[start:start + per]
+        f = np.take(frames, jc, axis=1, out=buffer[:, :len(jc)])
+        out[ic, jc] = np.ldexp(_inv_r_integrals(points[:, ic], f) / FOUR_PI, mesh._exponent)
 
 
 def _far_order(quad_order: int) -> int:
@@ -498,10 +518,10 @@ def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
     """Dense (F, F) collocation matrix in Fortran order, after validating
     the mesh: entry (i, j) = int_{T_j} dA(y) / (4 pi |c_i - y|).
 
-    The diagonal by the exact planar self-integral; entries whose centroid
-    separation is below twice T_j's longest edge by the quad_order rule on
-    each panel's 4:1 split; everything else by the plain rule of order
-    `_far_order`.  Raises SolverError, naming the matrix's size and the
+    The diagonal and entries whose centroid separation is below twice
+    T_j's longest edge by the exact integral over the flat panel
+    (`_near_entries`), whatever quad_order; everything else by the plain
+    rule of order `_far_order`.  Raises SolverError, naming the matrix's size and the
     physical memory, when the matrix exceeds physical memory or cannot be
     allocated.
     """
@@ -519,8 +539,7 @@ def assemble_single_layer(mesh: TriMesh, quad_order: int = 6) -> np.ndarray:
     except MemoryError:
         raise SolverError(f"cannot allocate: {sizes}") from None
     _far_entries(out, mesh, _far_order(quad_order))
-    _near_entries(out, mesh, quad_order)
-    _self_entries(out, mesh)
+    _near_entries(out, mesh)
     return out
 
 
@@ -561,12 +580,15 @@ def _row_block_matvec(M: np.ndarray):
     A matrix of fewer than _MATVEC_LANE_ENTRIES entries is one block on one
     lane, as threads cost more than they save on a product that small; a
     larger one gets one lane per usable core, but no more lanes than
-    blocks.  Each row's product is the same BLAS arithmetic as in `M @ x`,
-    whatever the block or the number of lanes: blocks that start off a
-    multiple of 64 rows change the last bits.
+    blocks.  Unless OPENBLAS_NUM_THREADS reads 1, as the `capsym` command
+    sets it, every matrix is one block on one lane, so BLAS's own threads
+    run the product and no lane nests them.  Each row's product is the same
+    BLAS arithmetic as in `M @ x`, whatever the block or the number of
+    lanes: blocks that start off a multiple of 64 rows change the last bits.
     """
     F = len(M)
-    rows = F if M.size < _MATVEC_LANE_ENTRIES else _MATVEC_ROWS
+    one_thread = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+    rows = _MATVEC_ROWS if one_thread and M.size >= _MATVEC_LANE_ENTRIES else F
     lanes = min(_usable_cores(), -(-F // rows))
     starts = range(0, F, rows)
 

@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_quad_order(p):
         p.add_argument("--quad-order", type=int, default=6, choices=(1, 3, 6, 12),
-                       help="order q of the triangle rule of the near-field matrix entries "
-                            "and of every off-surface field; the far entries use "
-                            "min(q, 3) (default %(default)s)")
+                       help="order q of the triangle rule of every off-surface field; "
+                            "the far matrix entries use min(q, 3), the diagonal and "
+                            "near-field entries are exact integrals (default %(default)s)")
 
     p = command("capacity", cmd_capacity, "solve and report capacity three ways")
     add_io(p)

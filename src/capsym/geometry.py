@@ -14,8 +14,8 @@ scale: each mesh keeps the binary exponent e of its largest |coordinate|
 result back by `np.ldexp`.  So every value is bitwise the unscaled one at
 ordinary scales, and none overflows or underflows while the result itself
 is representable.  One edge-midpoint 4:1 split (`_split4`) builds the
-icosphere and the BEM near field's subdivided panel rule.  `validate`
-reports; `require_valid` raises `MeshError`.
+icosphere.  `validate` reports; `require_valid` raises `MeshError`, from
+the one report each mesh keeps (`TriMesh._report`).
 """
 
 from __future__ import annotations
@@ -69,6 +69,12 @@ class TriMesh:
     @property
     def num_panels(self) -> int:
         return len(self.triangles)
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        """`validate`'s report, formed on first use and kept, as the mesh is
+        immutable: `require_valid` validates each mesh once."""
+        return validate(self)
 
     @cached_property
     def _exponent(self) -> int:
@@ -241,8 +247,9 @@ def validate(mesh: TriMesh) -> ValidationReport:
 
 
 def require_valid(mesh: TriMesh) -> None:
-    """Raise MeshError listing every issue `validate` finds."""
-    rep = validate(mesh)
+    """Raise MeshError listing every issue `validate` finds, from the
+    report the mesh keeps (`TriMesh._report`)."""
+    rep = mesh._report
     if not rep.ok:
         raise MeshError("mesh failed validation: " + "; ".join(rep.issues))
 

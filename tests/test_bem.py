@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import re
@@ -360,10 +361,56 @@ def _frozen_panel_quadrature(mesh, order, subdivide=False):
     return np.concatenate(all_pts, axis=1), np.concatenate(all_wts, axis=1)
 
 
+def _split_rule(mesh, order, splits=1):
+    """The rule of `order` on the sub-triangles of `splits` edge-midpoint
+    4:1 splits of each panel by `geometry._split4`, each weighted by its
+    share 4^-splits of its panel's area: points (F, 4^splits Q, 3) and
+    weights (F, 4^splits Q)."""
+    bary, w = bem.triangle_rule(order)
+    verts, tris = mesh.vertices, mesh.triangles
+    for _ in range(splits):
+        mid, tris = geo._split4(verts, tris)
+        verts = np.concatenate([verts, mid])
+    F = mesh.num_panels
+    pts = np.einsum("qk,fkd->fqd", bary, verts[tris]).reshape(F, -1, 3)
+    areas = np.repeat(mesh.areas / 4**splits, 4**splits)
+    return pts, np.outer(areas, w).reshape(F, -1)
+
+
+def _edge_form_inv_r(x, corners):
+    """Exact integral of 1/|x - y| over each flat triangle corners[p] (P, 3, 3)
+    from x[p] (P, 3), in Wilton et al.'s per-edge form: for each edge, t0
+    times the log of (R+ + s+)/(R- + s-), taken as (R- - s-)/(R+ - s+) where
+    both s < 0 and as (R+ + s+)(R- - s-)/R0^2 where only s- is, minus |w0|
+    times the difference of the edge's two angle terms
+    arctan(t0 s / (R0^2 + |w0| R))."""
+    n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    w0 = np.abs(np.einsum("pd,pd->p", x - corners[:, 0], n))
+    total = np.zeros(len(x))
+    for k in range(3):
+        a, b = corners[:, k], corners[:, (k + 1) % 3]
+        t = (b - a) / np.linalg.norm(b - a, axis=1)[:, None]
+        m = np.cross(t, n)
+        t0 = np.einsum("pd,pd->p", a - x, m)
+        s1, s2 = np.einsum("pd,pd->p", a - x, t), np.einsum("pd,pd->p", b - x, t)
+        r1, r2 = np.linalg.norm(a - x, axis=1), np.linalg.norm(b - x, axis=1)
+        r0sq = t0 * t0 + w0 * w0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log = np.where(s1 >= 0, np.log((r2 + s2) / (r1 + s1)),
+                           np.where(s2 < 0, np.log((r1 - s1) / (r2 - s2)),
+                                    np.log((r2 + s2) * (r1 - s1) / r0sq)))
+        total += np.where(t0 == 0, 0.0, t0 * log)
+        total -= w0 * (np.arctan2(t0 * s2, r0sq + w0 * r2) - np.arctan2(t0 * s1, r0sq + w0 * r1))
+    return total
+
+
 def _frozen_single_layer_rows(mesh, rows, order):
     # the row kernel as it was before its loops were made cache-sized: the
     # far field by one (rows, F*Q, 3) difference block per 5e6 distances,
-    # at the assembly's far order, the near field over all pairs at once
+    # at the assembly's far order, the near field over all pairs at once,
+    # by the per-edge form of the exact integral over the flat panel, as
+    # is the diagonal
     rows = np.asarray(rows)
     F = mesh.num_panels
     cen = mesh.centroids
@@ -383,13 +430,9 @@ def _frozen_single_layer_rows(mesh, rows, order):
         cKDTree(cen), 2.0 * float(max_edge.max()), output_type="ndarray")
     r, j = near["i"], near["j"]
     i = rows[r]
-    keep = (i != j) & (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
+    keep = (i == j) | (np.linalg.norm(cen[i] - cen[j], axis=1) < 2.0 * max_edge[j])
     r, i, j = r[keep], i[keep], j[keep]
-    spts, swts = _frozen_panel_quadrature(mesh, order, subdivide=True)
-    out[r, j] = (swts[j] / _frozen_norm(cen[i][:, None, :] - spts[j])).sum(axis=1) / FOUR_PI
-
-    p = mesh.vertices[mesh.triangles[rows]]
-    out[np.arange(len(rows)), rows] = bem.self_integral_inv_r(p[:, 0], p[:, 1], p[:, 2]) / FOUR_PI
+    out[r, j] = _edge_form_inv_r(cen[i], mesh.vertices[mesh.triangles[j]]) / FOUR_PI
     return out
 
 
@@ -486,7 +529,7 @@ class TestNearPairs:
     @pytest.mark.filterwarnings("error")
     def test_pairs_equal_kd_tree(self, case):
         points, radius = _pair_points(case)
-        p, q = bem._near_pairs(points, radius)
+        p, q, d = bem._near_pairs(points, radius)
         got = np.stack([p, q])
         want = _kd_pairs(points, radius)
         # pairs beyond each point with itself, but for the one point alone
@@ -494,13 +537,33 @@ class TestNearPairs:
         # each pair once, and the same pairs as the tree's
         assert np.unique(got, axis=1).shape == got.shape
         assert np.array_equal(np.unique(got, axis=1), np.unique(want, axis=1))
+        # with the separations np.linalg.norm gives the differences
+        assert np.array_equal(d, np.linalg.norm(points[p] - points[q], axis=1))
 
     def test_far_cluster_keeps_its_pairs(self):
         points, radius = _pair_points("clusters-1e30")
-        p, q = bem._near_pairs(points, radius)
+        p, q, _ = bem._near_pairs(points, radius)
         far = len(points) // 2
         # the far cluster's pairs, apart from each point with itself
         assert np.count_nonzero((p >= far) & (q >= far) & (p != q)) > 0
+
+    @pytest.mark.parametrize("name", ["sphere-L3", "moved-spheroid-L3", "bumpy-L2"])
+    def test_near_field_keeps_its_pairs_and_bits(self, name):
+        mesh = {"sphere-L3": lambda: geo.make_sphere_mesh(1.0, 3),
+                "moved-spheroid-L3": _moved_spheroid_l3,
+                "bumpy-L2": lambda: geo.make_bumpy_sphere_mesh(1.0, 2)}[name]()
+        i, j, d = bem._near_field(mesh)
+        # the pairs and separations as they were formed before the search
+        # returned its separations: the norm of each centroid difference
+        unit = bem._unit_copy(mesh).unit
+        cen, max_edge = unit.centroids, unit.edge_lengths.max(axis=1)
+        p, q = _kd_pairs(cen, 2.0 * float(max_edge.max()))
+        sep = np.linalg.norm(cen[p] - cen[q], axis=1)
+        keep = (p != q) & (sep < 2.0 * max_edge[q])
+        got, want = np.lexsort((j, i)), np.lexsort((q[keep], p[keep]))
+        assert np.array_equal(i[got], p[keep][want])
+        assert np.array_equal(j[got], q[keep][want])
+        assert np.array_equal(d[got], sep[keep][want])
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +681,7 @@ class TestFarOrder:
         cen, F = mesh.centroids, mesh.num_panels
         max_edge = mesh.edge_lengths.max(axis=1)
         # near-exact: the order-12 rule on each panel's 4:1 split
-        pts, wts = bem.panel_quadrature(mesh, 12, subdivide=True)
+        pts, wts = _frozen_panel_quadrature(mesh, 12, subdivide=True)
         y, w = pts.reshape(-1, 3).T, wts.reshape(-1)
         worst = 0.0
         for start in range(0, F, 64):
@@ -646,6 +709,114 @@ class TestFarOrder:
         assert abs(cap - cap6) <= 3e-6 * cap6
         assert abs(f1 - f1_6) <= 0.01 * abs(f1_6)
         assert abs(newton - newton6) <= 0.03 * newton6
+
+
+# the diagonal and the near entries from the exact integral over each flat
+# panel, against a near-exact reference
+
+
+def _flat_icosahedron(level):
+    """The icosahedron split 4:1 `level` times without reprojection: each
+    face's 4^level panels are coplanar."""
+    verts, faces = geo._unit_rows(geo._ICO_VERTS), geo._ICO_FACES
+    for _ in range(level):
+        mid, faces = geo._split4(verts, faces)
+        verts = np.concatenate([verts, mid])
+    return geo.TriMesh(verts, faces)
+
+
+def _near_exact(mesh, i, j):
+    """int_{T_j} dA/|c_i - y| by the order-12 rule on three 4:1 splits of
+    T_j, four where c_i lies within h_j/2 of c_j (h_j T_j's longest edge),
+    where three leave 3.7e-8 on the level-3 spheroid."""
+    cen, h = mesh.centroids, mesh.edge_lengths.max(axis=1)
+    close = np.linalg.norm(cen[i] - cen[j], axis=1) < 0.5 * h[j]
+    out = np.empty(len(i))
+    for splits, pairs in ((3, ~close), (4, close)):
+        pts, wts = _split_rule(mesh, 12, splits)
+        at = np.flatnonzero(pairs)
+        step = max(1, 2**20 // pts.shape[1])
+        for start in range(0, len(at), step):
+            k = at[start:start + step]
+            r = np.sqrt(sum(np.square(cen[i[k], c:c + 1] - pts[j[k], :, c]) for c in range(3)))
+            out[k] = (wts[j[k]] / r).sum(axis=1)
+    return out
+
+
+def _one_panel_integral(corners, x):
+    """`bem._inv_r_integrals` for one triangle and one point, formed as the
+    assembly forms it: on both times 2^-e, scaled back by 2^e."""
+    mesh = geo.TriMesh(np.asarray(corners, dtype=float), [[0, 1, 2]])
+    e = mesh._exponent
+    x = np.ldexp(np.asarray(x, dtype=float), -e)[:, None]
+    return math.ldexp(float(bem._inv_r_integrals(x, bem._panel_frames(mesh))[0]), e)
+
+
+NEAR_MESHES = {
+    "sphere-L2": lambda: geo.make_sphere_mesh(1.0, 2),
+    "moved-spheroid-L3": _moved_spheroid_l3,
+    "bumpy-L2": lambda: geo.make_bumpy_sphere_mesh(1.0, 2),
+    "flat-icosahedron-L2": lambda: _flat_icosahedron(2),
+}
+
+# a right triangle in the plane z = 0, and points in its plane, on an
+# edge's line beyond the edge, or whose projection is a corner
+_RIGHT = [[0.0, 0.0, 0.0], [0.75, 0.0, 0.0], [0.0, 0.75, 0.0]]
+DEGENERATE = {
+    "coplanar": [0.6, 0.5, 0.0],
+    "edge-extension": [1.5, 0.0, 0.0],
+    "edge-extension-behind": [-0.25, 0.0, 0.0],
+    "above-vertex": [0.0, 0.0, 0.2],
+    "above-vertex-low": [0.75, 0.0, 0.05],
+}
+
+
+class TestFlatPanelIntegral:
+    @pytest.mark.parametrize("name", list(NEAR_MESHES))
+    def test_near_entries_near_exact(self, name):
+        mesh = NEAR_MESHES[name]()
+        M = bem.assemble_single_layer(mesh, 6)
+        i, j, _ = bem._near_field(mesh)
+        ref = _near_exact(mesh, i, j)
+        # measured 2.7e-11 (sphere), 3.0e-10 (moved spheroid, at a pair
+        # 0.5-0.75 h_j apart), 7.3e-11 (bumpy sphere) and 4.0e-11 (flat
+        # icosahedron), the reference's own quadrature error
+        assert np.all(np.abs(FOUR_PI * M[i, j] - ref) <= 1e-9 * ref)
+
+    @pytest.mark.parametrize("name", list(NEAR_MESHES))
+    def test_diagonal_is_the_self_integral(self, name):
+        mesh = NEAR_MESHES[name]()
+        diagonal = np.diagonal(bem.assemble_single_layer(mesh, 6))
+        p = mesh.vertices[mesh.triangles]
+        frozen = np.array([_frozen_self_integral(*corners) for corners in p])
+        assert np.all(np.abs(FOUR_PI * diagonal - frozen) <= 1e-14 * frozen)
+
+    @pytest.mark.parametrize("place", list(DEGENERATE))
+    def test_degenerate_placements(self, place):
+        x = np.array(DEGENERATE[place])
+        # no warning and no floating-point error on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got = _one_panel_integral(_RIGHT, x)
+        mesh = geo.TriMesh(np.array(_RIGHT), [[0, 1, 2]])
+        pts, wts = _split_rule(mesh, 12, 6)
+        ref = float((wts[0] / np.linalg.norm(x - pts[0], axis=1)).sum())
+        assert math.isfinite(got)
+        assert abs(got - ref) <= 1e-9 * ref
+        # and the per-edge form agrees
+        edge = float(_edge_form_inv_r(x[None], np.array(_RIGHT)[None])[0])
+        assert abs(got - edge) <= 1e-13 * edge
+
+    @pytest.mark.parametrize("name", ["sphere-L2", "moved-spheroid-L3"])
+    def test_near_entries_independent_of_quad_order(self, name):
+        mesh = NEAR_MESHES[name]()
+        i, j, _ = bem._near_field(mesh)
+        every = np.arange(mesh.num_panels)
+        i, j = np.concatenate([every, i]), np.concatenate([every, j])
+        near = {q: bem.assemble_single_layer(mesh, q)[i, j] for q in (1, 3, 6, 12)}
+        for q in (1, 3, 12):
+            assert np.array_equal(near[q], near[6])
 
 
 class TestMatrixMemory:
@@ -934,6 +1105,24 @@ class TestLanes:
             starts = list(range(0, F, bem._MATVEC_ROWS))
             lanes = min(bem._usable_cores(), len(starts))
             assert all(grid == (lanes, starts) for grid in matvecs)
+
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
+    def test_matvec_blocks_by_blas_threads(self, threads):
+        # row blocks on the lanes only where OpenBLAS runs on one thread;
+        # otherwise one product on BLAS's own threads
+        src = os.path.dirname(os.path.dirname(bem.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(PYTHONPATH=src, **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+        code = ("import json, numpy as np; from capsym import bem; grids = []; "
+                "bem._each_chunk = lambda body, starts, lanes: grids.append([lanes, list(starts)]); "
+                "F = 2048; bem._row_block_matvec(np.zeros((F, F), order='F'))(np.zeros(F)); "
+                "print(json.dumps([grids, bem._usable_cores()]))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        grids, cores = json.loads(out.stdout)
+        # F = 2048 is the smallest matrix that gets lanes at one thread
+        starts = list(range(0, 2048, bem._MATVEC_ROWS)) if threads == "1" else [0]
+        assert grids == [[min(cores, len(starts)), starts]]
 
     # the level-4 spheroid has 30,720 quadrature points, beyond the 8,192
     # from which numpy's einsum sums a one-row operand in another order
@@ -1253,9 +1442,9 @@ class TestUnitDiscretisation:
         rules, meshes = [], []
         rule, post_init = bem.panel_quadrature, geo.TriMesh.__post_init__
 
-        def counting_rule(mesh, order, subdivide=False):
-            rules.append((order, subdivide))
-            return rule(mesh, order, subdivide)
+        def counting_rule(mesh, order):
+            rules.append(order)
+            return rule(mesh, order)
 
         def counting_post_init(mesh):
             meshes.append(mesh)
@@ -1267,19 +1456,19 @@ class TestUnitDiscretisation:
         for command in ("verify", "capacity"):
             rules.clear()
             assert cli.main([command, "--shape", "sphere", "1.3", "2", "--output", out]) == 0
-            # the far field's plain rule, the near field's subdivided one,
-            # then the evaluations' plain rule of the quadrature order
-            assert rules == [(bem._far_order(6), False), (6, True), (6, False)]
+            # the far field's rule, then the evaluations' rule of the
+            # quadrature order; the near field and the diagonal need none
+            assert rules == [bem._far_order(6), 6]
         sol = bem.solve_equilibrium(geo.make_sphere_mesh(1.3, 2), 6)
         X = fn.sample_exterior_points(sol.mesh, 8, 1)
         rules.clear()
         meshes.clear()
-        # the first evaluation builds the plain rule of the quadrature
-        # order, which the far field's lower order left unbuilt
+        # the first evaluation builds the rule of the quadrature order,
+        # which the far field's lower order left unbuilt
         bem.eval_fields_at_unit_scale(sol, X)
-        assert rules == [(6, False)]
+        assert rules == [6]
         bem.eval_fields(sol, X)
-        assert rules == [(6, False)] and meshes == []
+        assert rules == [6] and meshes == []
 
     def test_one_pair_search_per_mesh(self, monkeypatch):
         searches = []
@@ -1338,15 +1527,16 @@ SPLIT_MESHES = {
 
 
 class TestSplitRule:
-    """The plain and subdivided panel rules are one path over
-    `geometry._split4`, bitwise the per-sub-triangle rule they replaced."""
+    """The plain panel rule, and the subdivided rule of the near-exact
+    references (`_split_rule`, on `geometry._split4`), are bitwise the
+    per-sub-triangle rule they replaced."""
 
     @pytest.mark.parametrize("subdivide", [False, True])
     @pytest.mark.parametrize("order", [1, 3, 6, 12])
     @pytest.mark.parametrize("name", list(SPLIT_MESHES))
     def test_rule_bitwise_equal_to_frozen(self, name, order, subdivide):
         mesh = SPLIT_MESHES[name]()
-        pts, wts = bem.panel_quadrature(mesh, order, subdivide)
+        pts, wts = _split_rule(mesh, order) if subdivide else bem.panel_quadrature(mesh, order)
         frozen_pts, frozen_wts = _frozen_panel_quadrature(mesh, order, subdivide)
         assert np.array_equal(pts, frozen_pts)
         assert np.array_equal(wts, frozen_wts)
@@ -1356,8 +1546,10 @@ class TestSplitRule:
     def test_subdivided_rule_independent_of_vertex_labels(self, name, order):
         mesh = {"spheroid-L3": lambda: geo.make_ellipsoid_mesh(2.0, 1.0, 1.0, 3),
                 "bumpy-L2": lambda: geo.make_bumpy_sphere_mesh(1.0, 2)}[name]()
-        pts, wts = bem.panel_quadrature(mesh, order, subdivide=True)
-        relabelled_pts, relabelled_wts = bem.panel_quadrature(_relabelled(mesh, seed=5), order,
-                                                              subdivide=True)
-        assert np.array_equal(pts, relabelled_pts)
-        assert np.array_equal(wts, relabelled_wts)
+        relabelled = _relabelled(mesh, seed=5)
+        for got, want in zip(_split_rule(mesh, order), _split_rule(relabelled, order)):
+            assert np.array_equal(got, want)
+        # and so is the matrix, whose every entry reads each panel's corners
+        # in the panel's own order
+        assert np.array_equal(bem.assemble_single_layer(mesh, order),
+                              bem.assemble_single_layer(relabelled, order))

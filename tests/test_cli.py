@@ -624,11 +624,19 @@ class TestSingleValidation:
                 monkeypatch.setattr(module, "validate", counting)
         return calls
 
-    @pytest.mark.parametrize("extra,expected", [([], 1), (["--discrete-curvature"], 2)])
+    # the assembly validates the mesh, and the discrete curvature reads
+    # the report the mesh keeps
+    @pytest.mark.parametrize("extra,expected", [([], 1), (["--discrete-curvature"], 1)])
     def test_verify_validates_once_per_use(self, tmp_path, validate_calls, extra, expected):
         out = tmp_path / "v.json"
         assert run(["verify", "--shape", "sphere", "1", "2", "--output", str(out)] + extra) == 0
         assert len(validate_calls) == expected
+
+    def test_verify_mesh_validates_once(self, sphere_off, tmp_path, validate_calls):
+        # an OFF mesh carries no exact curvature, so the discrete one runs
+        out = tmp_path / "v.json"
+        assert run(["verify", "--mesh", sphere_off, "--output", str(out)]) == 0
+        assert len(validate_calls) == 1
 
     def test_broken_mesh_error_comes_from_library(self, broken_off, capsys, validate_calls):
         assert run(["verify", "--mesh", broken_off]) == cli.EXIT_MESH
